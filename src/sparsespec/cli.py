@@ -1,8 +1,9 @@
 """Command-line front end: synthesis, analysis, baseline DFT, experiment
 reproduction, and the oracle-equivalence selftest.
 
-Exit codes: 0 success, 1 usage error, 2 data or config error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage error, 2 data or config error (non-finite
+samples included), 3 numerical failure that aborted the command, or failed
+selftest trials.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--shortcut", action="store_true", default=None,
                       dest="shortcut_shifted")
     p_an.add_argument("--threads", type=int, default=None,
-                      help="worker threads (0 = auto)")
+                      help="accepted for compatibility; has no effect")
     p_an.add_argument("--format", choices=("csv", "raw64"), default=None,
                       help="input format (default: by file extension)")
 

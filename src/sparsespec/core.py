@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexBudgetExceeded, NotCoprime
+from .errors import IndexBudgetExceeded, NonFiniteSamples, NotCoprime
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class ComplexSignal:
         rate_hz: sample rate of the underlying grid, Hz.
         origin_index: offset of sample 0 on the underlying grid (streams
             extracted with a shift remember where they started).
+
+    Raises:
+        NonFiniteSamples: a sample is NaN or infinite.
     """
 
     samples: np.ndarray
@@ -34,6 +37,10 @@ class ComplexSignal:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-d sequence")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise NonFiniteSamples(
+                f"sample {int(np.argmin(finite))} is NaN or infinite")
         if not self.rate_hz > 0:
             raise ValueError("rate_hz must be positive")
         if self.origin_index < 0:
@@ -175,28 +182,38 @@ def circular_shift(x: ComplexSignal, s: int) -> ComplexSignal:
                          origin_index=x.origin_index)
 
 
+def stream_indices(spec: StreamSpec, source_length: int,
+                   streams: list[int] | None = None,
+                   n: int | None = None) -> np.ndarray:
+    """Source indices of the decimation plan, one row per stream.
+
+    Row i, column l holds u*l + m*s for the i-th stream m of ``streams``
+    (default: all M), modulo ``source_length`` when the spec wraps. ``n``
+    columns; None takes the spec's length, resolved against the source,
+    which raises IndexBudgetExceeded when a stream would overrun it.
+    """
+    if n is None:
+        n = spec.resolve_length(source_length)
+    m = np.arange(spec.M) if streams is None else np.asarray(streams)
+    idx = spec.u * np.arange(n) + spec.s * m[:, None]
+    return idx % source_length if spec.wrap else idx
+
+
 def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
     """Pull the M decimated, shifted sub-streams out of ``x``.
 
-    Stream m, index l holds x[u*l + m*s] (modulo the length when the spec
-    wraps). Each stream records its shift as ``origin_index``.
+    Stream m, index l holds x[u*l + m*s] (see :func:`stream_indices`). Each
+    stream records its shift as ``origin_index``.
 
     Raises:
         IndexBudgetExceeded: a requested sample would fall past the end of
             ``x`` and wrapping is off.
     """
-    length = len(x)
-    n = spec.resolve_length(length)
-    base = spec.u * np.arange(n)
-    streams = []
-    for m in range(spec.M):
-        idx = base + m * spec.s
-        if spec.wrap:
-            idx = idx % length
-        streams.append(ComplexSignal(samples=x.samples[idx],
-                                     rate_hz=x.rate_hz / spec.u,
-                                     origin_index=m * spec.s))
-    return StreamSet(streams=tuple(streams), spec=spec)
+    rows = x.samples[stream_indices(spec, len(x))]
+    return StreamSet(streams=tuple(
+        ComplexSignal(samples=row, rate_hz=x.rate_hz / spec.u,
+                      origin_index=m * spec.s)
+        for m, row in enumerate(rows)), spec=spec)
 
 
 def select_peaks(spectrum: Spectrum, threshold: float) -> PeakList:

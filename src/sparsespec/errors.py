@@ -21,6 +21,10 @@ class NoUniqueIntersection(SparseSpecError):
     """Second-best candidate pair too close to the best one."""
 
 
+class NonFiniteSamples(SparseSpecError):
+    """A signal sample is NaN or infinite."""
+
+
 class IndexBudgetExceeded(SparseSpecError):
     """Stream extraction would index past the end of the signal."""
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .aliasing import circular_distance_hz
-from .core import ComplexSignal, StreamSpec, dft, extract_streams, select_peaks
+from .core import ComplexSignal, StreamSpec, stream_indices
 from .pipeline import (
     HybridConfig,
     RecoveredComponent,
@@ -164,14 +164,14 @@ def _write_spectra_csv(path: Path, hybrid: SparseSpectrum,
     _write_lines(path, lines)
 
 
-def _write_streams_csv(path: Path, stream_specs, bin_hz: float) -> None:
-    n = stream_specs[0].bins.size
+def _write_streams_csv(path: Path, spectra: np.ndarray,
+                       bin_hz: float) -> None:
     header = "bin_index,freq_hz," + ",".join(
-        f"mag_{m}" for m in range(len(stream_specs)))
+        f"mag_{m}" for m in range(len(spectra)))
     lines = [header]
-    for b in range(n):
+    for b in range(spectra.shape[1]):
         cells = [str(b), _fmt(b * bin_hz)]
-        cells += [_fmt(abs(sp.bins[b])) for sp in stream_specs]
+        cells += [_fmt(abs(v)) for v in spectra[:, b]]
         lines.append(",".join(cells))
     _write_lines(path, lines)
 
@@ -244,15 +244,15 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0,
         report = evaluate(spec, hybrid, tol_hz=0.5)
 
         n = hybrid.diagnostics["stream_length"]
-        stream_set = extract_streams(x, StreamSpec(
-            u=cfg.u, s=cfg.s, M=cfg.M, n=n))
-        stream_dfts = [dft(st) for st in stream_set.streams]
-        _write_streams_csv(run_dir / "streams.csv", stream_dfts,
-                           stream_dfts[0].bin_hz)
+        idx = stream_indices(StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n),
+                             len(x))
+        spectra = np.fft.fft(x.samples[idx], axis=1)
+        _write_streams_csv(run_dir / "streams.csv", spectra,
+                           x.rate_hz / cfg.u / n)
         _write_spectra_csv(run_dir / "spectrum.csv", hybrid, dense)
         _write_eval_csv(run_dir / "eval.csv", report)
-        peaks = select_peaks(stream_dfts[0], cfg.threshold * n)
-        sequences = build_prony_sequences(stream_dfts, peaks, cfg.s)
+        bins = hybrid.diagnostics["peak_bins"]
+        sequences = build_prony_sequences(spectra[:, bins], bins, cfg.s)
         for b, seq in sequences.items():
             est = estimate_order(seq, cfg.sigma_rel_tol)
             _write_prony_csv(run_dir / f"prony_{b}.csv", seq,

@@ -1,6 +1,6 @@
 """End-to-end sparse estimation from shifted undersampled streams.
 
-``analyze`` runs the whole chain: stream extraction, per-stream DFTs, peak
+``analyze`` runs the whole chain: one stream gather and batched DFT, peak
 picking on the reference stream, collision-order estimation and pencil
 decomposition per peak bin, ambiguity resolution against the coprime shift
 step, and a final merge onto the fine grid. ``dense_reference`` is the
@@ -14,7 +14,6 @@ through the hybrid chain or the dense reference.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,13 +33,15 @@ from .core import (
     StreamSpec,
     budget_stream_length,
     dft,
-    extract_streams,
+    extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
     select_peaks,
+    stream_indices,
 )
 from .errors import (
     BadShape,
     IllConditionedPencil,
     IllConditionedVandermonde,
+    NoConvergence,
     NoIntersection,
     NotCoprime,
     NoUniqueIntersection,
@@ -71,7 +72,9 @@ class HybridConfig:
     survives when its per-sample amplitude reaches it. ``stream_len`` pins
     the per-stream length; None takes the longest the signal supports.
     ``max_peaks`` caps how many reference-stream peaks are pursued, largest
-    first; None pursues all of them.
+    first; None pursues all of them. ``threads`` is accepted for
+    compatibility and has no effect: all M streams go through one batched
+    FFT.
     """
 
     u: int
@@ -149,22 +152,15 @@ class SparseSpectrum:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stream_dfts(streams, threads: int) -> list[Spectrum]:
-    # Order-preserving map keeps results deterministic at any worker count.
-    if threads <= 1:
-        return [dft(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(dft, streams))
-
-
-def build_prony_sequences(stream_dfts: list[Spectrum], peaks: PeakList,
+def build_prony_sequences(coeffs: np.ndarray, bins: list[int],
                           shift_step: int) -> dict[int, PronySequence]:
-    """Assemble P(m) = X_m[bin] across the M stream spectra, per peak bin."""
-    out: dict[int, PronySequence] = {}
-    for b in peaks.bin_indices():
-        values = np.array([spec.bins[b] for spec in stream_dfts])
-        out[b] = PronySequence(values=values, shift_step=shift_step)
-    return out
+    """P(m) = coeffs[m, j] down the stream axis, keyed by the j-th bin.
+
+    ``coeffs`` holds the M stream DFT values at ``bins``, one column each.
+    """
+    return {b: PronySequence(values=coeffs[:, j].copy(),
+                             shift_step=shift_step)
+            for j, b in enumerate(bins)}
 
 
 def shifted_coeffs_shortcut(x: ComplexSignal, peaks: PeakList,
@@ -192,10 +188,7 @@ def shifted_coeffs_shortcut(x: ComplexSignal, peaks: PeakList,
         return np.zeros(0, dtype=np.complex128), 1.0
     if k > n:
         raise BadShape(f"{k} peaks exceed stream length {n}")
-    idx = spec.u * np.arange(k) + m * spec.s
-    if spec.wrap:
-        idx = idx % len(x)
-    rhs = x.samples[idx]
+    rhs = x.samples[stream_indices(spec, len(x), [m], n=k)[0]]
     nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
     vand = nodes[None, :] ** np.arange(k)[:, None]
     _, sv, _ = svd_small(vand)
@@ -242,9 +235,10 @@ def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
 def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     """Recover a sparse spectrum at full-grid resolution from M streams.
 
-    Per-peak failures (unresolvable ambiguity, degenerate pencil) are
-    recorded in diagnostics["failures"] and do not abort the run. The run
-    is deterministic for a fixed config and input, at any thread count.
+    Per-peak failures (unresolvable ambiguity, degenerate pencil, an SVD
+    that does not converge) are recorded in diagnostics["failures"] and do
+    not abort the run. The run is deterministic for a fixed config and
+    input.
     """
     cfg.validate()
     spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len,
@@ -253,63 +247,42 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     pinned = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n, wrap=cfg.wrap)
     rate = x.rate_hz
     fine_res = rate / (cfg.u * n)
-    accessed: list[np.ndarray] = []
-    per_stream_samples: list[int] = []
+    read = np.zeros(len(x), dtype=bool)
     shortcut_conds: list[float] = []
     shortcut_fallbacks = 0
 
-    def stream_indices(m: int) -> np.ndarray:
-        idx = cfg.u * np.arange(n) + m * cfg.s
-        return idx % len(x) if cfg.wrap else idx
-
-    if cfg.shortcut_shifted:
-        idx0 = stream_indices(0)
-        ref_stream = ComplexSignal(samples=x.samples[idx0],
-                                   rate_hz=rate / cfg.u, origin_index=0)
-        accessed.append(idx0)
-        per_stream_samples.append(n)
-    else:
-        streams = extract_streams(x, pinned)
-        ref_stream = streams.streams[0]
-        for m in range(cfg.M):
-            accessed.append(stream_indices(m))
-            per_stream_samples.append(n)
-
-    ref_dft = dft(ref_stream)
-    peaks = select_peaks(ref_dft, cfg.threshold * n)
+    # All M streams in one gather and one FFT; the shortcut reads only
+    # stream 0 in full.
+    idx = stream_indices(pinned, len(x),
+                         [0] if cfg.shortcut_shifted else None)
+    read[idx] = True
+    per_stream_samples = [n] * len(idx)
+    spectra = np.fft.fft(x.samples[idx], axis=1)
+    peaks = select_peaks(Spectrum(bins=spectra[0], bin_hz=rate / cfg.u / n),
+                         cfg.threshold * n)
     if cfg.max_peaks is not None and len(peaks.entries) > cfg.max_peaks:
         peaks = PeakList(entries=peaks.entries[:cfg.max_peaks],
                          threshold=peaks.threshold)
     peak_bins = list(peaks.bin_indices())
 
     if cfg.shortcut_shifted:
-        rows = {b: np.empty(cfg.M, dtype=np.complex128) for b in peak_bins}
-        for b in peak_bins:
-            rows[b][0] = ref_dft.bins[b]
-        k = len(peak_bins)
+        coeffs = np.empty((cfg.M, len(peak_bins)), dtype=np.complex128)
+        coeffs[0] = spectra[0, peak_bins]
         for m in range(1, cfg.M):
             try:
-                vals, cond = shifted_coeffs_shortcut(x, peaks, pinned, m)
+                coeffs[m], cond = shifted_coeffs_shortcut(x, peaks, pinned,
+                                                          m)
                 shortcut_conds.append(cond)
-                idx = (cfg.u * np.arange(k) + m * cfg.s)
-                accessed.append(idx % len(x) if cfg.wrap else idx)
-                per_stream_samples.append(k)
+                idx = stream_indices(pinned, len(x), [m], n=len(peak_bins))
             except IllConditionedVandermonde:
                 shortcut_fallbacks += 1
-                idx = stream_indices(m)
-                fallback = ComplexSignal(samples=x.samples[idx],
-                                         rate_hz=rate / cfg.u,
-                                         origin_index=m * cfg.s)
-                vals = dft(fallback).bins[peak_bins]
-                accessed.append(idx)
-                per_stream_samples.append(n)
-            for b, val in zip(peak_bins, vals):
-                rows[b][m] = val
-        sequences = {b: PronySequence(values=rows[b], shift_step=cfg.s)
-                     for b in peak_bins}
+                idx = stream_indices(pinned, len(x), [m])
+                coeffs[m] = np.fft.fft(x.samples[idx], axis=1)[0, peak_bins]
+            read[idx] = True
+            per_stream_samples.append(idx.shape[1])
     else:
-        specs = [ref_dft] + _stream_dfts(streams.streams[1:], cfg.threads)
-        sequences = build_prony_sequences(specs, peaks, cfg.s)
+        coeffs = spectra[:, peak_bins]
+    sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
 
     components: list[RecoveredComponent] = []
     failures: list[dict] = []
@@ -362,7 +335,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             bin_reports.append({"bin": b, "rank": rank, "gap": gap,
                                 "kept": len(kept), "residual": residual})
         except (NoIntersection, NoUniqueIntersection, IllConditionedPencil,
-                SvdFailure, BadShape) as exc:
+                SvdFailure, BadShape, NoConvergence) as exc:
             failures.append({"bin": int(b), "error": type(exc).__name__,
                              "detail": str(exc)})
 
@@ -377,7 +350,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         "budget_stream_length": budget_stream_length(
             len(x), cfg.u, cfg.s, cfg.M),
         "fine_grid_size": cfg.u * n,
-        "samples_used": int(np.unique(np.concatenate(accessed)).size),
+        "samples_used": int(np.count_nonzero(read)),
         "per_stream_samples": per_stream_samples,
         "peak_bins": [int(b) for b in peak_bins],
         "bin_reports": bin_reports,

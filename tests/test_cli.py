@@ -93,6 +93,17 @@ class TestAnalyze:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_sample_exit_two(self, tmp_path, capsys, cell):
+        sig = write_signal3(tmp_path)
+        lines = sig.read_text().splitlines()
+        lines[5] = f"{cell},0.0"
+        sig.write_text("\n".join(lines) + "\n")
+        code = cli.main(["analyze", "--in", str(sig),
+                         "--out", str(tmp_path / "x.csv")] + ANALYZE_FLAGS)
+        assert code == 2
+        assert "sample 4 is NaN or infinite" in capsys.readouterr().err
+
     def test_missing_geometry_exit_two(self, tmp_path):
         sig = write_signal3(tmp_path)
         code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",

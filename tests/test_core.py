@@ -5,6 +5,7 @@ import pytest
 from sparsespec import (
     ComplexSignal,
     IndexBudgetExceeded,
+    NonFiniteSamples,
     NotCoprime,
     StreamSpec,
     budget_stream_length,
@@ -26,6 +27,15 @@ def make_signal(samples, rate=1.0):
 def random_signal(rng, n, rate=1.0):
     vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return make_signal(vals, rate)
+
+
+class TestComplexSignal:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        vals = np.ones(8, dtype=np.complex128)
+        vals[3] = bad
+        with pytest.raises(NonFiniteSamples, match="sample 3"):
+            make_signal(vals)
 
 
 class TestDft:

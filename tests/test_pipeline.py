@@ -1,4 +1,6 @@
 """End-to-end hybrid analysis, sample budget, Vandermonde shortcut."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sparsespec import (
     ComplexSignal,
     HybridConfig,
     IllConditionedVandermonde,
+    NoConvergence,
     NotCoprime,
     PeakList,
     StreamSpec,
@@ -14,6 +17,8 @@ from sparsespec import (
     dense_reference,
     dft,
     extract_streams,
+    max_stream_length,
+    pipeline,
     shifted_coeffs_shortcut,
 )
 
@@ -118,6 +123,28 @@ class TestAnalyze:
         got = sorted(c.freq_hz for c in res.components)
         want = sorted(c.freq_hz for c in dense.components)
         assert np.allclose(got, want, atol=1e-6)
+
+    def test_no_convergence_is_a_bin_failure(self, monkeypatch):
+        # 25 Hz and 40 Hz land on stream bins 5 and 0; the first order
+        # estimate fails to converge, the other bin still resolves.
+        x = tone_signal([(25.0, 1.0), (40.0, 0.5)], 100.0, 200)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
+                           sigma_rel_tol=1e-8)
+        real = pipeline.estimate_order
+        calls = []
+
+        def first_fails(seq, tol):
+            calls.append(seq)
+            if len(calls) == 1:
+                raise NoConvergence("sweep cap reached")
+            return real(seq, tol)
+
+        monkeypatch.setattr(pipeline, "estimate_order", first_fails)
+        res = analyze(x, cfg)
+        first, second = res.diagnostics["peak_bins"]
+        assert [(f["bin"], f["error"]) for f in res.diagnostics["failures"]] \
+            == [(first, "NoConvergence")]
+        assert [c.source_bin for c in res.components] == [second]
 
     def test_sample_budget_counting_sampler(self):
         rate = 100.0
@@ -276,3 +303,90 @@ class TestDiagnostics:
         assert len(d["per_stream_samples"]) == 9
         assert d["bin_reports"]
         assert res.resolution_hz == pytest.approx(rate / 100)
+
+
+class TestBatchedStreams:
+    def test_samples_used_and_spectra_match_per_stream_reference(
+            self, monkeypatch):
+        # Random geometries, wrapped ones whose indices collide and forced
+        # shortcut fallbacks included. samples_used must equal the distinct
+        # count over the per-stream index sets, and the spectra analyze
+        # works from must equal the per-stream DFTs bit for bit.
+        rng = np.random.default_rng(31)
+        select_peaks = pipeline.select_peaks
+        build = pipeline.build_prony_sequences
+        shortcut = pipeline.shifted_coeffs_shortcut
+        seen, forced = {}, set()
+
+        def capture_peaks(spectrum, threshold):
+            seen["ref"] = spectrum.bins.copy()
+            return select_peaks(spectrum, threshold)
+
+        def capture_coeffs(coeffs, bins, shift_step):
+            seen["coeffs"] = coeffs.copy()
+            return build(coeffs, bins, shift_step)
+
+        def forced_fallback(x, peaks, spec, m):
+            if m in forced:
+                raise IllConditionedVandermonde("forced fallback")
+            return shortcut(x, peaks, spec, m)
+
+        monkeypatch.setattr(pipeline, "select_peaks", capture_peaks)
+        monkeypatch.setattr(pipeline, "build_prony_sequences", capture_coeffs)
+        monkeypatch.setattr(pipeline, "shifted_coeffs_shortcut",
+                            forced_fallback)
+        collided = fallbacks = 0
+        for _ in range(80):
+            u = int(rng.integers(1, 8))
+            s = int(rng.choice([v for v in range(1, 12)
+                                if math.gcd(u, v) == 1]))
+            M = int(rng.integers(2, 9))
+            length = int(rng.integers(24, 160))
+            wrap = bool(rng.random() < 0.5)
+            n_max = max_stream_length(length, u, s, M)
+            if wrap:
+                stream_len = int(rng.integers(1, 2 * length // u + 2))
+            elif n_max < 1:
+                continue
+            else:
+                stream_len = (None if rng.random() < 0.5
+                              else int(rng.integers(1, n_max + 1)))
+            cfg = HybridConfig(u=u, s=s, M=M, threshold=0.2, wrap=wrap,
+                               stream_len=stream_len,
+                               shortcut_shifted=bool(rng.random() < 0.5),
+                               max_peaks=int(rng.integers(1, 5)))
+            forced = {m for m in range(1, M) if rng.random() < 0.4}
+            l = np.arange(length)
+            vals = 0.05 * (rng.standard_normal(length)
+                           + 1j * rng.standard_normal(length))
+            for f in rng.uniform(0.0, length, size=int(rng.integers(1, 4))):
+                vals = vals + np.exp(2j * np.pi * f * l / length)
+            x = ComplexSignal(samples=vals, rate_hz=float(length))
+
+            res = analyze(x, cfg)
+            d = res.diagnostics
+            n = d["stream_length"]
+            counts = d["per_stream_samples"]
+            assert len(counts) == M and counts[0] == n
+            index_sets = [u * np.arange(c) + m * s
+                          for m, c in enumerate(counts)]
+            if wrap:
+                index_sets = [idx % length for idx in index_sets]
+            want = np.unique(np.concatenate(index_sets)).size
+            assert d["samples_used"] == want
+            collided += want < sum(counts)
+
+            streams = extract_streams(x, StreamSpec(u=u, s=s, M=M, n=n,
+                                                    wrap=wrap)).streams
+            direct = [dft(st).bins for st in streams]
+            assert np.array_equal(seen["ref"], direct[0])
+            exact = range(M)
+            if cfg.shortcut_shifted:
+                assert all(counts[m] == n for m in forced)
+                fallbacks += len(forced)
+                # Rows that took the K-sample solve are estimates.
+                exact = [0] + sorted(forced)
+            for m in exact:
+                assert np.array_equal(seen["coeffs"][m],
+                                      direct[m][d["peak_bins"]])
+        assert collided > 10 and fallbacks > 10
