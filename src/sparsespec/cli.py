@@ -90,8 +90,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--wrap", action="store_true", default=None)
     p_an.add_argument("--shortcut", action="store_true", default=None,
                       dest="shortcut_shifted")
-    p_an.add_argument("--threads", type=int, default=None,
-                      help="accepted for compatibility; has no effect")
     p_an.add_argument("--format", choices=("csv", "raw64"), default=None,
                       help="input format (default: by file extension)")
 
@@ -111,7 +109,6 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--snr", type=float, default=None,
                        help="SNR in dB (omit for noise-free)")
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--threads", type=int, default=1)
 
     p_self = sub.add_parser("selftest", help="noise-free oracle equivalence "
                             "suite")
@@ -133,14 +130,10 @@ def _analyze_config(args) -> HybridConfig:
     overrides = {}
     for key in ("u", "s", "M", "threshold", "resolver", "extra_terms",
                 "sigma_rel_tol", "delta", "merge_tol_hz", "match_tol_hz",
-                "stream_len", "max_peaks", "wrap", "shortcut_shifted",
-                "threads"):
+                "stream_len", "max_peaks", "wrap", "shortcut_shifted"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
-    if "threads" in overrides and overrides["threads"] == 0:
-        import os
-        overrides["threads"] = os.cpu_count() or 1
     if args.config:
         return replace(read_config(args.config), **overrides)
     for required in ("u", "s", "M"):
@@ -189,14 +182,13 @@ def _cmd_dft(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.id == 1:
-        results = run_experiment_1(args.out_dir, seed=args.seed,
-                                   threads=args.threads)
+        results = run_experiment_1(args.out_dir, seed=args.seed)
         recalls = ",".join(f"{r['eval'].recall:.3f}"
                            for r in results.values())
         print(f"experiment 1 done: recalls {recalls} -> {args.out_dir}")
     else:
         result = run_experiment_2(args.M, args.snr, args.out_dir,
-                                  seed=args.seed, threads=args.threads)
+                                  seed=args.seed)
         rep = result["eval"]
         print(f"experiment 2 done: M={args.M} recall={rep.recall:.3f} "
               f"samples={result['hybrid'].diagnostics['samples_used']} "

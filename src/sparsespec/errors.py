@@ -34,7 +34,7 @@ class BadShape(SparseSpecError):
 
 
 class NoConvergence(SparseSpecError):
-    """Iterative kernel failed to converge within its sweep cap."""
+    """An SVD was given non-finite entries or did not converge."""
 
 
 class SvdFailure(SparseSpecError):

@@ -214,16 +214,15 @@ def experiment_1_spec(signal_index: int, seed: int = 0,
                      snr_db=snr_db, seed=seed)
 
 
-def experiment_1_config(threads: int = 1) -> HybridConfig:
+def experiment_1_config() -> HybridConfig:
     # sigma_rel_tol sits between the SNR 30 noise floor (~0.006 sigma1)
     # and the weakest collision singular value (~0.16 sigma1);
     # extra_terms=0 keeps noise poles out of the amplitude solve.
     return HybridConfig(u=50, s=17, M=12, threshold=0.2, stream_len=16,
-                        sigma_rel_tol=0.05, extra_terms=0, threads=threads)
+                        sigma_rel_tol=0.05, extra_terms=0)
 
 
-def run_experiment_1(out_dir: str | Path, seed: int = 0,
-                     threads: int = 1) -> dict:
+def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
     """Three-signal collision study: u=50, s=17, M=12, SNR 30 dB.
 
     All three tones alias onto the stream bin at 5 Hz; the runs show the
@@ -232,7 +231,7 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0,
     eval.csv.
     """
     out = Path(out_dir)
-    cfg = experiment_1_config(threads=threads)
+    cfg = experiment_1_config()
     results = {}
     for k in range(3):
         run_dir = out / f"signal{k + 1}"
@@ -268,7 +267,6 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0,
             ("stream_length", n),
             ("samples_used", hybrid.diagnostics["samples_used"]),
             ("resolution_hz", _fmt(hybrid.resolution_hz)),
-            ("threads", threads),
             ("components", len(hybrid.components)),
             ("recall", _fmt(report.recall)),
         ])
@@ -293,12 +291,10 @@ def experiment_2_spec(seed: int = 0,
                      snr_db=snr_db, seed=seed)
 
 
-def experiment_2_config(M: int, snr_db: float | None,
-                        threads: int = 1) -> HybridConfig:
+def experiment_2_config(M: int, snr_db: float | None) -> HybridConfig:
     sigma_tol = NOISE_FREE_SIGMA_REL_TOL if snr_db is None else 1e-3
     return HybridConfig(u=142, s=7, M=M, threshold=0.25,
-                        sigma_rel_tol=sigma_tol, max_peaks=64,
-                        threads=threads)
+                        sigma_rel_tol=sigma_tol, max_peaks=64)
 
 
 def _mu_clusters(mus, gap_hz: float = 4.0) -> list[list[float]]:
@@ -313,7 +309,7 @@ def _mu_clusters(mus, gap_hz: float = 4.0) -> list[list[float]]:
 
 
 def run_experiment_2(M: int, snr_db: float | None, out_dir: str | Path,
-                     seed: int = 0, threads: int = 1) -> dict:
+                     seed: int = 0) -> dict:
     """Wideband budget study: u=142, s=7, L=2^16, R=10 kHz.
 
     Writes the recovered-vs-dense spectrum, zoomed windows of +-2 Hz around
@@ -326,7 +322,7 @@ def run_experiment_2(M: int, snr_db: float | None, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = experiment_2_spec(seed=seed, snr_db=snr_db)
-    cfg = experiment_2_config(M, snr_db, threads=threads)
+    cfg = experiment_2_config(M, snr_db)
     x = synthesize(spec)
     hybrid = analyze(x, cfg)
     dense = dense_reference(x, cfg.threshold)
@@ -363,7 +359,6 @@ def run_experiment_2(M: int, snr_db: float | None, out_dir: str | Path,
         ("effective_resolution_hz", _fmt(hybrid.resolution_hz)),
         ("budget_dense_resolution_hz", _fmt(spec.rate_hz / used)),
         ("full_dense_resolution_hz", _fmt(spec.rate_hz / spec.length)),
-        ("threads", threads),
         ("components", len(hybrid.components)),
         ("recall", _fmt(report.recall)),
     ])

@@ -13,6 +13,7 @@ through the hybrid chain or the dense reference.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -72,9 +73,7 @@ class HybridConfig:
     survives when its per-sample amplitude reaches it. ``stream_len`` pins
     the per-stream length; None takes the longest the signal supports.
     ``max_peaks`` caps how many reference-stream peaks are pursued, largest
-    first; None pursues all of them. ``threads`` is accepted for
-    compatibility and has no effect: all M streams go through one batched
-    FFT.
+    first; None pursues all of them.
     """
 
     u: int
@@ -93,7 +92,6 @@ class HybridConfig:
     ambiguity_factor: float = DEFAULT_AMBIGUITY_FACTOR
     stream_len: int | None = None
     max_peaks: int | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         if self.u < 1 or self.s < 1:
@@ -114,8 +112,6 @@ class HybridConfig:
             raise ValueError("stream_len must be positive when given")
         if self.max_peaks is not None and self.max_peaks < 1:
             raise ValueError("max_peaks must be positive when given")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,10 @@ def _two_sample_terms(seq: PronySequence) -> list[ExponentialTerm]:
     p0, p1 = complex(seq.values[0]), complex(seq.values[1])
     if p0 == 0:
         raise IllConditionedPencil("reference coefficient is zero")
-    return [ExponentialTerm(amplitude=p0, z=p1 / p0)]
+    z = p1 / p0
+    if z == 0 or not cmath.isfinite(z):
+        raise IllConditionedPencil(f"two-stream ratio {z} is not usable")
+    return [ExponentialTerm(amplitude=p0, z=z)]
 
 
 def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
@@ -355,7 +354,6 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         "peak_bins": [int(b) for b in peak_bins],
         "bin_reports": bin_reports,
         "failures": failures,
-        "threads": cfg.threads,
         "resolver": cfg.resolver,
         "shortcut_shifted": cfg.shortcut_shifted,
         "shortcut_conditions": shortcut_conds,

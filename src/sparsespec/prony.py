@@ -5,8 +5,9 @@ P(m) = sum_i a_i * z_i^m with one term per colliding component. The matrix
 pencil on a Hankel arrangement of P recovers the per-step ratios z_i and the
 amplitudes a_i; the Hankel singular values count the components.
 
-The SVD used throughout is a self-contained one-sided Jacobi kernel: the
-matrices here are tiny and the dependency surface stays minimal.
+Every SVD goes through ``svd_small``, one guarded LAPACK call: it refuses
+non-finite matrices and reports any failure as ``NoConvergence``, which
+``analyze`` records as a per-bin failure.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ DEFAULT_EXTRA_TERMS = 2
 PENCIL_CONDITION_CAP = 1e12
 
 _SVD_DIM_CAP = 512
-_SVD_SWEEP_CAP = 100
-_SVD_OFF_TOL = 1e-14
 _SIGMA_FLOOR_REL = 1e-14
 _Z_SANITY_CAP = 1e6
 
@@ -90,91 +89,29 @@ def hankel(seq: PronySequence, rows: int) -> np.ndarray:
 
 
 def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition of a small complex matrix, in-repo.
+    """Thin singular value decomposition of a small complex matrix.
 
-    One-sided Jacobi: unitary rotations applied from the right orthogonalize
-    the columns; column norms become the singular values. Returns (U, sigma,
-    V) with A = U @ diag(sigma) @ V conjugate-transposed, sigma descending,
-    U and V with orthonormal columns (thin factors, k = min(m, n)).
+    Returns (U, sigma, V) with A = U @ diag(sigma) @ V conjugate-transposed,
+    sigma descending, U and V with orthonormal columns (k = min(m, n)).
 
     Raises:
-        BadShape: not a 2-d matrix or a dimension beyond 512.
-        NoConvergence: rotations still active after 100 sweeps.
+        BadShape: not a non-empty 2-d matrix, or a dimension beyond 512.
+        NoConvergence: a NaN or infinite entry (LAPACK may return NaN
+            singular values for one or never return), or LAPACK did not
+            converge.
     """
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or min(A.shape) < 1:
         raise BadShape("svd_small expects a non-empty 2-d matrix")
     if max(A.shape) > _SVD_DIM_CAP:
         raise BadShape(f"dimensions {A.shape} exceed the {_SVD_DIM_CAP} cap")
-    m, n = A.shape
-    if m < n:
-        # A* = U S V*  ->  A = V S U*
-        u_t, sigma, v_t = svd_small(A.conj().T)
-        return v_t, sigma, u_t
-
-    w = A.copy()
-    v = np.eye(n, dtype=np.complex128)
-    for _ in range(_SVD_SWEEP_CAP):
-        rotated = 0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                app = float(np.real(np.vdot(wp, wp)))
-                aqq = float(np.real(np.vdot(wq, wq)))
-                apq = complex(np.vdot(wp, wq))
-                scale = math.sqrt(app * aqq)
-                if scale == 0.0 or abs(apq) <= _SVD_OFF_TOL * scale:
-                    continue
-                rotated += 1
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (
-                        abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Right-multiply by [[c, s], [-conj(phase)*s, conj(phase)*c]]:
-                # diagonalizes the 2x2 Gram block of columns p, q.
-                w[:, p] = c * wp - np.conj(phase) * s * wq
-                w[:, q] = s * wp + np.conj(phase) * c * wq
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p] = c * vp - np.conj(phase) * s * vq
-                v[:, q] = s * vp + np.conj(phase) * c * vq
-        if rotated == 0:
-            break
-    else:
-        raise NoConvergence(
-            f"Jacobi SVD did not settle within {_SVD_SWEEP_CAP} sweeps")
-
-    sigma = np.linalg.norm(w, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros((m, n), dtype=np.complex128)
-    zero_cut = max(m, n) * np.finfo(float).eps * (sigma[0] if sigma[0] > 0 else 1.0)
-    next_basis = 0
-    for j in range(n):
-        if sigma[j] > zero_cut:
-            u[:, j] = w[:, j] / sigma[j]
-            continue
-        # Null direction: complete U deterministically from canonical basis.
-        sigma[j] = 0.0
-        while next_basis < m:
-            cand = np.zeros(m, dtype=np.complex128)
-            cand[next_basis] = 1.0
-            next_basis += 1
-            for k in range(j):
-                cand -= np.vdot(u[:, k], cand) * u[:, k]
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                u[:, j] = cand / norm
-                break
-    return u, sigma, v
+    if not np.isfinite(A).all():
+        raise NoConvergence("SVD of a matrix with non-finite entries")
+    try:
+        u, sigma, vh = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK SVD failed: {exc}") from exc
+    return u, sigma, vh.conj().T
 
 
 def estimate_order(seq: PronySequence,

@@ -104,6 +104,17 @@ class TestAnalyze:
         assert code == 2
         assert "sample 4 is NaN or infinite" in capsys.readouterr().err
 
+    def test_two_stream_zero_ratio_exit_zero(self, tmp_path, capsys):
+        samples = np.zeros(1000, dtype=np.complex128)
+        samples[::5] = 1.0
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, ComplexSignal(samples=samples, rate_hz=1000.0))
+        code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",
+                         "--u", "5", "--s", "2", "--M", "2",
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        assert "components=0" in capsys.readouterr().out
+
     def test_missing_geometry_exit_two(self, tmp_path):
         sig = write_signal3(tmp_path)
         code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",

@@ -93,7 +93,7 @@ class TestConfigFiles:
         cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2, resolver="bezout",
                            sigma_rel_tol=0.05, extra_terms=0, delta=0.15,
                            wrap=True, shortcut_shifted=True,
-                           merge_tol_hz=0.7, stream_len=16, threads=2)
+                           merge_tol_hz=0.7, stream_len=16)
         path = tmp_path / "cfg.txt"
         write_config(path, cfg)
         back = read_config(path)

@@ -11,7 +11,10 @@ from sparsespec import (
     NoConvergence,
     NotCoprime,
     PeakList,
+    SparseSpecError,
     StreamSpec,
+    SynthSpec,
+    ToneSpec,
     analyze,
     circular_distance_hz,
     dense_reference,
@@ -20,7 +23,9 @@ from sparsespec import (
     max_stream_length,
     pipeline,
     shifted_coeffs_shortcut,
+    synthesize,
 )
+from sparsespec.lab import experiment_1_config
 
 
 class CountingArray(np.ndarray):
@@ -69,7 +74,6 @@ class TestHybridConfig:
         dict(u=5, s=3, M=4, threshold=-1.0),
         dict(u=5, s=3, M=4, resolver="guess"),
         dict(u=5, s=3, M=4, delta=-0.1),
-        dict(u=5, s=3, M=4, threads=-1),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -145,6 +149,37 @@ class TestAnalyze:
         assert [(f["bin"], f["error"]) for f in res.diagnostics["failures"]] \
             == [(first, "NoConvergence")]
         assert [c.source_bin for c in res.components] == [second]
+
+    def test_two_stream_zero_ratio_is_a_bin_failure(self):
+        # Every fifth sample set: stream 1 (offset s=2) reads only zeros,
+        # so P(1)/P(0) is 0 and no ratio term can be formed.
+        x = np.zeros(1000, dtype=np.complex128)
+        x[::5] = 1.0
+        res = analyze(ComplexSignal(samples=x, rate_hz=1000.0),
+                      HybridConfig(u=5, s=2, M=2))
+        assert res.components == ()
+        assert [f["error"] for f in res.diagnostics["failures"]] \
+            == ["IllConditionedPencil"]
+
+    @pytest.mark.parametrize("record", ["stream0", "random_phase"])
+    def test_overflowing_record_fails_per_bin(self, record):
+        # Finite samples of modulus 1e308 overflow in the stream FFT. With
+        # 1e308 on stream 0 only, bin 0 holds inf next to finite values (a
+        # matrix LAPACK's SVD can spin on); random phases give NaN in every
+        # peak bin. Either way each bin fails alone and analyze returns.
+        if record == "stream0":
+            samples = np.ones(1000, dtype=np.complex128)
+            samples[::50] = 1e308
+        else:
+            rng = np.random.default_rng(0)
+            samples = 1e308 * np.exp(2j * np.pi * rng.random(1000))
+        x = ComplexSignal(samples=samples, rate_hz=1000.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = analyze(x, experiment_1_config())
+        failures = res.diagnostics["failures"]
+        assert res.components == ()
+        assert len(failures) == len(res.diagnostics["peak_bins"]) > 0
+        assert {f["error"] for f in failures} == {"NoConvergence"}
 
     def test_sample_budget_counting_sampler(self):
         rate = 100.0
@@ -390,3 +425,42 @@ class TestBatchedStreams:
                 assert np.array_equal(seen["coeffs"][m],
                                       direct[m][d["peak_bins"]])
         assert collided > 10 and fallbacks > 10
+
+
+class TestRobustness:
+    def test_random_valid_runs_raise_only_library_errors(self):
+        # Random valid geometries, noise levels, resolvers and record
+        # scales, down to 1e-300 and up to where the stream FFT overflows:
+        # analyze may raise a SparseSpecError but nothing else.
+        rng = np.random.default_rng(1)
+        trials = 0
+        while trials < 150:
+            u = int(rng.integers(1, 13))
+            s = int(rng.choice([v for v in range(1, 12)
+                                if math.gcd(u, v) == 1]))
+            M = int(rng.integers(2, 13))
+            length = int(rng.integers(32, 600))
+            wrap = bool(rng.random() < 0.5)
+            if not wrap and max_stream_length(length, u, s, M) < 1:
+                continue
+            trials += 1
+            rate = float(length)
+            tones = tuple(
+                ToneSpec(mu_hz=float(rng.uniform(0.0, rate)),
+                         amplitude=rng.uniform(0.5, 1.5)
+                         * complex(np.exp(2j * np.pi * rng.random())))
+                for _ in range(int(rng.integers(1, 5))))
+            snr = (None, 20.0, 0.0, -10.0)[int(rng.integers(4))]
+            scale = (1.0, 1e-300, 1e300, 1e307)[int(rng.integers(4))]
+            cfg = HybridConfig(u=u, s=s, M=M, wrap=wrap,
+                               resolver=str(rng.choice(["match", "bezout"])),
+                               shortcut_shifted=bool(rng.random() < 0.5))
+            x = synthesize(SynthSpec(tones=tones, rate_hz=rate, length=length,
+                                     snr_db=snr,
+                                     seed=int(rng.integers(1 << 30))))
+            with np.errstate(all="ignore"):
+                try:
+                    analyze(ComplexSignal(samples=scale * x.samples,
+                                          rate_hz=rate), cfg)
+                except SparseSpecError:
+                    pass

@@ -1,4 +1,4 @@
-"""Hankel pencil decomposition, order detection, in-repo SVD kernel."""
+"""Hankel pencil decomposition, order detection, the guarded SVD."""
 import math
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from sparsespec import (
     BadShape,
     ExponentialTerm,
+    NoConvergence,
     PronySequence,
     estimate_order,
     hankel,
@@ -115,6 +116,21 @@ class TestSvdSmall:
     def test_oversized_rejected(self):
         with pytest.raises(BadShape):
             svd_small(np.zeros((513, 2), dtype=np.complex128))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.ones((4, 3), dtype=np.complex128)
+        a[2, 1] = bad
+        with pytest.raises(NoConvergence):
+            svd_small(a)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergence):
+            svd_small(np.eye(3, dtype=np.complex128))
 
 
 class TestEstimateOrder:
