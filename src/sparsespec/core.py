@@ -41,8 +41,8 @@ class ComplexSignal:
         if not finite.all():
             raise NonFiniteSamples(
                 f"sample {int(np.argmin(finite))} is NaN or infinite")
-        if not self.rate_hz > 0:
-            raise ValueError("rate_hz must be positive")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError("rate_hz must be finite and positive")
         if self.origin_index < 0:
             raise ValueError("origin_index must be >= 0")
 
@@ -172,6 +172,30 @@ def dft_direct(samples: np.ndarray) -> np.ndarray:
     n = x.size
     lj = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * lj / n) @ x
+
+
+def dft_at(rows: np.ndarray, bins) -> np.ndarray:
+    """DFT of each row of ``rows`` (R x n) at ``bins`` (mod n) only, R x K.
+
+    Up to log2(n) bins, each coefficient is a direct sum against a twiddle
+    matrix built from two tables of about sqrt(n) entries per bin, with the
+    exponents reduced exactly in integers before ``exp``. The sum is an
+    ``einsum``, not a BLAS product, so its bits do not depend on the BLAS
+    thread count. Beyond log2(n) bins one batched FFT is cheaper, so the
+    twiddle matrix stays near n * log2(n) entries at most.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    n = rows.shape[1]
+    b = np.asarray(bins, dtype=np.int64).reshape(-1, 1) % n
+    if b.size > math.log2(n):
+        return np.fft.fft(rows, axis=1)[:, b[:, 0]]
+    # Sample l = q*h + j with q*q >= n: exp(-2i pi l b / n) is
+    # tab[q + h] * tab[j], and the table holds 2q twiddles per bin.
+    q = math.isqrt(n - 1) + 1
+    j = np.arange(q)
+    tab = np.exp(-2j * np.pi / n * (b * np.concatenate([j, q * j]) % n))
+    twiddle = (tab[:, q:, None] * tab[:, None, :q]).reshape(b.size, q * q)
+    return np.einsum("rl,kl->rk", rows, twiddle[:, :n])
 
 
 def circular_shift(x: ComplexSignal, s: int) -> ComplexSignal:

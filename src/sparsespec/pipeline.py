@@ -1,11 +1,11 @@
 """End-to-end sparse estimation from shifted undersampled streams.
 
-``analyze`` runs the whole chain: one stream gather and batched DFT, peak
-picking on the reference stream, collision-order estimation and pencil
-decomposition per peak bin, ambiguity resolution against the coprime shift
-step, and a final merge onto the fine grid. ``dense_reference`` is the
-brute-force single-DFT estimator used for oracle comparisons and budget
-studies.
+``analyze`` runs the whole chain: one stream gather, one FFT of the
+reference stream, peak picking on it, peak-bin DFTs of the shifted streams,
+collision-order estimation and pencil decomposition per peak bin, ambiguity
+resolution against the coprime shift step, and a final merge onto the fine
+grid. ``dense_reference`` is the brute-force single-DFT estimator used for
+oracle comparisons and budget studies.
 
 Amplitudes everywhere are in tone units: a unit-amplitude complex tone
 sitting on the analysis grid comes back with amplitude 1, whether it went
@@ -34,6 +34,7 @@ from .core import (
     StreamSpec,
     budget_stream_length,
     dft,
+    dft_at,
     extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
     select_peaks,
     stream_indices,
@@ -100,8 +101,16 @@ class HybridConfig:
             raise NotCoprime(f"u={self.u} and s={self.s} share a factor")
         if self.M < 2:
             raise ValueError("at least 2 streams are required")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and nonnegative")
+        for name in ("sigma_rel_tol", "ambiguity_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("merge_tol_hz", "match_tol_hz"):
+            tol = getattr(self, name)
+            if tol is not None and not 0 <= tol < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative "
+                                 "when given")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
         if self.extra_terms < 0:
@@ -173,7 +182,8 @@ def shifted_coeffs_shortcut(x: ComplexSignal, peaks: PeakList,
 
     Raises:
         IllConditionedVandermonde: node condition beyond 1e10; callers fall
-            back to the full stream DFT.
+            back to the full stream's DFT at the peak bins.
+        NoConvergence: the node-matrix SVD failed; callers fall back too.
     """
     if m < 1:
         raise ValueError("shortcut applies to shifted streams (m >= 1)")
@@ -250,37 +260,39 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     shortcut_conds: list[float] = []
     shortcut_fallbacks = 0
 
-    # All M streams in one gather and one FFT; the shortcut reads only
-    # stream 0 in full.
+    # All M streams in one gather (the shortcut reads only stream 0 in
+    # full). Peak picking needs the whole reference spectrum; the shifted
+    # streams are only needed at the peak bins.
     idx = stream_indices(pinned, len(x),
                          [0] if cfg.shortcut_shifted else None)
     read[idx] = True
     per_stream_samples = [n] * len(idx)
-    spectra = np.fft.fft(x.samples[idx], axis=1)
-    peaks = select_peaks(Spectrum(bins=spectra[0], bin_hz=rate / cfg.u / n),
+    rows = x.samples[idx]
+    reference = np.fft.fft(rows[0])
+    peaks = select_peaks(Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
                          cfg.threshold * n)
     if cfg.max_peaks is not None and len(peaks.entries) > cfg.max_peaks:
         peaks = PeakList(entries=peaks.entries[:cfg.max_peaks],
                          threshold=peaks.threshold)
     peak_bins = list(peaks.bin_indices())
 
+    coeffs = np.empty((cfg.M, len(peak_bins)), dtype=np.complex128)
+    coeffs[0] = reference[peak_bins]
     if cfg.shortcut_shifted:
-        coeffs = np.empty((cfg.M, len(peak_bins)), dtype=np.complex128)
-        coeffs[0] = spectra[0, peak_bins]
         for m in range(1, cfg.M):
             try:
                 coeffs[m], cond = shifted_coeffs_shortcut(x, peaks, pinned,
                                                           m)
                 shortcut_conds.append(cond)
                 idx = stream_indices(pinned, len(x), [m], n=len(peak_bins))
-            except IllConditionedVandermonde:
+            except (IllConditionedVandermonde, NoConvergence):
                 shortcut_fallbacks += 1
                 idx = stream_indices(pinned, len(x), [m])
-                coeffs[m] = np.fft.fft(x.samples[idx], axis=1)[0, peak_bins]
+                coeffs[m] = dft_at(x.samples[idx], peak_bins)[0]
             read[idx] = True
             per_stream_samples.append(idx.shape[1])
     else:
-        coeffs = spectra[:, peak_bins]
+        coeffs[1:] = dft_at(rows[1:], peak_bins)
     sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
 
     components: list[RecoveredComponent] = []

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from sparsespec import cli
 from sparsespec.fileio import (
     read_components_csv,
     write_signal_csv,
+    write_signal_raw64,
     write_synth_spec,
 )
 from sparsespec import ComplexSignal, SynthSpec, ToneSpec, synthesize
@@ -115,6 +117,36 @@ class TestAnalyze:
         assert code == 0
         assert "components=0" in capsys.readouterr().out
 
+    def test_nan_threshold_flag_exit_two(self, tmp_path, capsys):
+        sig = write_signal3(tmp_path)
+        flags = list(ANALYZE_FLAGS)
+        flags[flags.index("--threshold") + 1] = "nan"
+        code = cli.main(["analyze", "--in", str(sig),
+                         "--out", str(tmp_path / "x.csv")] + flags)
+        assert code == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+
+    def test_infinite_rate_exit_two(self, tmp_path, capsys):
+        # An infinite rate once gave exit 0 and a component at inf Hz.
+        sig = write_signal3(tmp_path)
+        flags = list(ANALYZE_FLAGS)
+        flags[flags.index("--rate") + 1] = "inf"
+        code = cli.main(["analyze", "--in", str(sig),
+                         "--out", str(tmp_path / "x.csv")] + flags)
+        assert code == 2
+        assert "rate_hz must be finite" in capsys.readouterr().err
+
+    def test_infinite_config_value_exit_two(self, tmp_path, capsys):
+        sig = write_signal3(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("u = 50\ns = 17\nM = 12\nthreshold = 0.2\n"
+                       "sigma_rel_tol = inf\n")
+        code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",
+                         "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "sigma_rel_tol must be finite" in capsys.readouterr().err
+
     def test_missing_geometry_exit_two(self, tmp_path):
         sig = write_signal3(tmp_path)
         code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",
@@ -130,6 +162,73 @@ class TestAnalyze:
                          "--format", "raw64"] + ANALYZE_FLAGS)
         assert code == 0
         assert len(read_components_csv(out)) == 3
+
+
+class TestMalformedInput:
+    # A short two-tone record and a config that analyzes it; the stream
+    # length is left free so that a truncated signal still runs.
+    SIGNAL = SynthSpec(
+        tones=(ToneSpec(mu_hz=25.0, amplitude=1.0 + 0j),
+               ToneSpec(mu_hz=85.0, amplitude=0.5j)),
+        rate_hz=200.0, length=200, snr_db=None, seed=0)
+    CONFIG = ("u = 10\ns = 3\nM = 6\nthreshold = 0.2\nresolver = match\n"
+              "shortcut_shifted = true\nmerge_tol_hz = none\n")
+
+    @staticmethod
+    def corrupt(data: bytes, how: str, rnd: random.Random,
+                text: bool) -> bytes:
+        if how == "truncate":
+            return data[:rnd.randrange(len(data))]
+        if how == "inject":
+            at = rnd.randrange(len(data) + 1)
+            return data[:at] + bytes([rnd.randrange(256)]) + data[at:]
+        if not text:
+            # raw64 has neither lines nor a header: a cell is one float64,
+            # the header the first one.
+            if how == "drop":
+                at = 8 * rnd.randrange(len(data) // 8)
+                return data[:at] + data[at + 8:]
+            return data[:8] + data
+        lines = data.split(b"\n")
+        if how == "header":
+            return b"\n".join(lines[:1] + lines)
+        row = rnd.randrange(len(lines))
+        sep = b"," if b"," in lines[row] else b"="
+        cells = lines[row].split(sep)
+        del cells[rnd.randrange(len(cells))]
+        lines[row] = sep.join(cells)
+        return b"\n".join(lines)
+
+    def test_corrupted_files_never_raise(self, tmp_path, capsys):
+        # Each trial corrupts one of the signal CSV, the raw64 signal or
+        # the config file and runs analyze: it exits 0, 1 or 2 and never
+        # lets an exception out.
+        x = synthesize(self.SIGNAL)
+        write_signal_csv(tmp_path / "sig.csv", x)
+        write_signal_raw64(tmp_path / "sig.raw64", x)
+        (tmp_path / "cfg.txt").write_text(self.CONFIG)
+        valid = {name: (tmp_path / name).read_bytes()
+                 for name in ("sig.csv", "sig.raw64", "cfg.txt")}
+        rnd = random.Random(5)
+        codes = set()
+        for trial in range(200):
+            target = rnd.choice(sorted(valid))
+            how = rnd.choice(["truncate", "drop", "inject", "header"])
+            files = dict(valid)
+            files[target] = self.corrupt(valid[target], how, rnd,
+                                         text=target != "sig.raw64")
+            for name, data in files.items():
+                (tmp_path / name).write_bytes(data)
+            signal = target if target.startswith("sig") \
+                else rnd.choice(["sig.csv", "sig.raw64"])
+            code = cli.main(["analyze", "--in", str(tmp_path / signal),
+                             "--rate", "200",
+                             "--config", str(tmp_path / "cfg.txt"),
+                             "--out", str(tmp_path / "out.csv")])
+            assert code in (0, 1, 2), (trial, target, how, code)
+            codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 2}
 
 
 class TestSynth:

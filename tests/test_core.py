@@ -1,4 +1,7 @@
 """Signal containers, transforms, stream extraction, peak selection."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from sparsespec import (
     budget_stream_length,
     circular_shift,
     dft,
+    dft_at,
     dft_direct,
     extract_streams,
     idft,
@@ -36,6 +40,11 @@ class TestComplexSignal:
         vals[3] = bad
         with pytest.raises(NonFiniteSamples, match="sample 3"):
             make_signal(vals)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate_hz"):
+            make_signal([1.0, 2.0], rate=rate)
 
 
 class TestDft:
@@ -74,6 +83,72 @@ class TestDft:
         time_energy = np.sum(np.abs(x.samples) ** 2)
         freq_energy = np.sum(np.abs(dft(x).bins) ** 2) / 1000
         assert time_energy == pytest.approx(freq_energy, rel=1e-9)
+
+
+class TestDftAt:
+    EPS = np.finfo(float).eps
+
+    def test_matches_direct_sum_both_sides_of_crossover(self):
+        # K up to log2(n) sums directly, beyond that slices one FFT; bins 0
+        # and n-1 ride along in every non-empty set.
+        rng = np.random.default_rng(11)
+        sides = set()
+        for n in range(1, 71):
+            for rows in (1, 7):
+                x = (rng.standard_normal((rows, n))
+                     + 1j * rng.standard_normal((rows, n)))
+                direct = np.array([dft_direct(r) for r in x])
+                fft = np.fft.fft(x, axis=1)
+                norm1 = np.abs(x).sum(axis=1, keepdims=True)
+                for k in range(min(n, int(math.log2(n)) + 3) + 1):
+                    bins = rng.choice(n, size=k, replace=False)
+                    if k >= 2:
+                        inner = 1 + rng.choice(n - 2, size=k - 2,
+                                               replace=False)
+                        bins = rng.permutation(np.r_[0, n - 1, inner])
+                    got = dft_at(x, bins)
+                    assert got.shape == (rows, k)
+                    if k == 0:
+                        continue
+                    sides.add(k <= math.log2(n))
+                    # dft_direct's own rounding grows with n.
+                    assert np.all(np.abs(got - direct[:, bins])
+                                  <= 8 * n * self.EPS * norm1)
+                    assert np.all(np.abs(got - fft[:, bins])
+                                  <= 8 * self.EPS * norm1)
+        assert sides == {True, False}
+
+    def test_fft_side_is_the_fft(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        bins = [63, 0, 5, 9, 17, 40, 41]
+        assert np.array_equal(dft_at(x, bins), np.fft.fft(x, axis=1)[:, bins])
+
+    def test_empty_bins(self):
+        x = np.ones((7, 10), dtype=np.complex128)
+        assert dft_at(x, []).shape == (7, 0)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bins_are_periodic(self, k):
+        # Both sides of the crossover (log2(10) < 5) read bins mod n.
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        bins = np.array([-1, 10, 23, -17, 4])[:k]
+        assert np.array_equal(dft_at(x, bins), dft_at(x, bins % 10))
+
+    @pytest.mark.parametrize("k", [12, 4096])
+    def test_memory_bounded_by_n_log_n(self, k):
+        # At the crossover (12 bins of 4096) and with every bin asked for
+        # (a threshold-0 run) nothing near an n x n matrix is built.
+        n = 4096
+        x = np.ones((1, n), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            dft_at(x, np.arange(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * n * math.log2(n)
 
 
 class TestIdft:
