@@ -20,7 +20,6 @@ from .errors import (
     NoIntersection,
     NoUniqueIntersection,
     SparseSpecError,
-    SvdFailure,
 )
 from .fileio import (
     FileFormatError,
@@ -41,7 +40,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (NoConvergence, SvdFailure, IllConditionedPencil,
+_NUMERICAL_ERRORS = (NoConvergence, IllConditionedPencil,
                      IllConditionedVandermonde, NoIntersection,
                      NoUniqueIntersection)
 

@@ -144,15 +144,6 @@ def max_stream_length(source_length: int, u: int, s: int, M: int) -> int:
     return (source_length - 1 - (M - 1) * s) // u + 1
 
 
-def budget_stream_length(source_length: int, u: int, s: int, M: int) -> int:
-    """Conservative stream-length estimate from the acquisition budget.
-
-    Kept for diagnostics alongside the exact :func:`max_stream_length`; the
-    two differ by at most one sample in typical settings.
-    """
-    return (source_length - (s - 1) * M) // u
-
-
 def dft(x: ComplexSignal) -> Spectrum:
     """Discrete Fourier transform, bins[j] = sum_l x_l exp(-2*pi*i*l*j/N)."""
     bins = np.fft.fft(x.samples)

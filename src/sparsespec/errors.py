@@ -37,10 +37,6 @@ class NoConvergence(SparseSpecError):
     """An SVD was given non-finite entries or did not converge."""
 
 
-class SvdFailure(SparseSpecError):
-    """SVD of a pencil matrix failed."""
-
-
 class IllConditionedPencil(SparseSpecError):
     """Reduced pencil matrix numerically singular."""
 

@@ -18,7 +18,7 @@ COMPONENT_HEADER = ("freq_hz,re,im,magnitude,source_bin,collision_order,"
                     "match_distance_hz,residual")
 
 _CONFIG_INT_KEYS = ("u", "s", "M", "extra_terms")
-_CONFIG_OPT_INT_KEYS = ("M_rows", "stream_len", "max_peaks")
+_CONFIG_OPT_INT_KEYS = ("stream_len", "max_peaks")
 _CONFIG_FLOAT_KEYS = ("threshold", "sigma_rel_tol", "delta",
                       "ambiguity_factor")
 _CONFIG_OPT_FLOAT_KEYS = ("merge_tol_hz", "match_tol_hz")

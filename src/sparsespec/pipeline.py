@@ -4,7 +4,9 @@
 reference stream, peak picking on it, peak-bin DFTs of the shifted streams,
 collision-order estimation and pencil decomposition per peak bin, ambiguity
 resolution against the coprime shift step, and a final merge onto the fine
-grid. ``dense_reference`` is the brute-force single-DFT estimator used for
+grid. With the shortcut, one K-sample Vandermonde solve stands in for the
+peak-bin DFTs of all shifted streams; when its node matrix is too
+ill-conditioned or its SVD fails, all of them fall back to the DFTs at once. ``dense_reference`` is the brute-force single-DFT estimator used for
 oracle comparisons and budget studies.
 
 Amplitudes everywhere are in tone units: a unit-amplitude complex tone
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +35,6 @@ from .core import (
     PeakList,
     Spectrum,
     StreamSpec,
-    budget_stream_length,
     dft,
     dft_at,
     extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
@@ -47,7 +49,6 @@ from .errors import (
     NoIntersection,
     NotCoprime,
     NoUniqueIntersection,
-    SvdFailure,
 )
 from .prony import (
     DEFAULT_EXTRA_TERMS,
@@ -85,7 +86,6 @@ class HybridConfig:
     sigma_rel_tol: float = DEFAULT_SIGMA_REL_TOL
     extra_terms: int = DEFAULT_EXTRA_TERMS
     delta: float = DEFAULT_UNIT_CIRCLE_DELTA
-    M_rows: int | None = None
     wrap: bool = False
     shortcut_shifted: bool = False
     merge_tol_hz: float | None = None
@@ -168,42 +168,47 @@ def build_prony_sequences(coeffs: np.ndarray, bins: list[int],
             for j, b in enumerate(bins)}
 
 
-def shifted_coeffs_shortcut(x: ComplexSignal, peaks: PeakList,
-                            spec: StreamSpec,
-                            m: int) -> tuple[np.ndarray, float]:
-    """Shifted-stream DFT values at the peak bins from only K samples.
+def shifted_coeffs_shortcut(
+        x: ComplexSignal, peaks: PeakList, spec: StreamSpec,
+        m: int | Sequence[int]) -> tuple[np.ndarray, float]:
+    """Shifted-stream DFT values at the peak bins from only K samples each.
 
     Stream m restricted to the K peak bins obeys, at sample l,
     sum_k y_k * z_k^l with nodes z_k = exp(2i pi bin_k / n). Solving the
     K x K Vandermonde system against (x[u*l + m*s])_{l<K} therefore yields
     the stream-m DFT values (n * y) without touching the other n - K
-    samples. Returns (values aligned with the peak order, condition number
-    of the node matrix).
+    samples. The node matrix depends only on the bins and n, so a sequence
+    of streams shares one SVD, one condition check and one solve. Returns
+    (values aligned with the peak order, condition number of the node
+    matrix): one row per stream for a sequence ``m``, a vector for an int.
 
     Raises:
         IllConditionedVandermonde: node condition beyond 1e10; callers fall
-            back to the full stream's DFT at the peak bins.
+            back to the full streams' DFTs at the peak bins.
         NoConvergence: the node-matrix SVD failed; callers fall back too.
     """
-    if m < 1:
+    streams = np.asarray(m, dtype=np.int64).reshape(-1)
+    if np.any(streams < 1):
         raise ValueError("shortcut applies to shifted streams (m >= 1)")
     n = spec.resolve_length(len(x))
     bins = list(peaks.bin_indices())
     k = len(bins)
-    if k == 0:
-        return np.zeros(0, dtype=np.complex128), 1.0
     if k > n:
         raise BadShape(f"{k} peaks exceed stream length {n}")
-    rhs = x.samples[stream_indices(spec, len(x), [m], n=k)[0]]
-    nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
-    vand = nodes[None, :] ** np.arange(k)[:, None]
-    _, sv, _ = svd_small(vand)
-    cond = math.inf if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
-    if cond > SHORTCUT_CONDITION_CAP:
-        raise IllConditionedVandermonde(
-            f"node condition {cond:.3e} beyond {SHORTCUT_CONDITION_CAP:.0e}")
-    y = np.linalg.solve(vand, rhs)
-    return n * y, cond
+    if k == 0:
+        values, cond = np.zeros((streams.size, 0), dtype=np.complex128), 1.0
+    else:
+        rhs = x.samples[stream_indices(spec, len(x), streams, n=k)].T
+        nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
+        vand = nodes[None, :] ** np.arange(k)[:, None]
+        _, sv, _ = svd_small(vand)
+        cond = math.inf if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
+        if cond > SHORTCUT_CONDITION_CAP:
+            raise IllConditionedVandermonde(
+                f"node condition {cond:.3e} beyond "
+                f"{SHORTCUT_CONDITION_CAP:.0e}")
+        values = n * np.linalg.solve(vand, rhs).T
+    return (values if np.ndim(m) else values[0]), cond
 
 
 def _two_sample_terms(seq: PronySequence) -> list[ExponentialTerm]:
@@ -266,7 +271,6 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     idx = stream_indices(pinned, len(x),
                          [0] if cfg.shortcut_shifted else None)
     read[idx] = True
-    per_stream_samples = [n] * len(idx)
     rows = x.samples[idx]
     reference = np.fft.fft(rows[0])
     peaks = select_peaks(Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
@@ -278,20 +282,25 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
 
     coeffs = np.empty((cfg.M, len(peak_bins)), dtype=np.complex128)
     coeffs[0] = reference[peak_bins]
+    per_stream_samples = [n] * cfg.M
     if cfg.shortcut_shifted:
-        for m in range(1, cfg.M):
-            try:
-                coeffs[m], cond = shifted_coeffs_shortcut(x, peaks, pinned,
-                                                          m)
-                shortcut_conds.append(cond)
-                idx = stream_indices(pinned, len(x), [m], n=len(peak_bins))
-            except (IllConditionedVandermonde, NoConvergence):
-                shortcut_fallbacks += 1
-                idx = stream_indices(pinned, len(x), [m])
-                coeffs[m] = dft_at(x.samples[idx], peak_bins)[0]
+        shifted = range(1, cfg.M)
+        try:
+            coeffs[1:], cond = shifted_coeffs_shortcut(x, peaks, pinned,
+                                                       shifted)
+        except (IllConditionedVandermonde, NoConvergence):
+            # One node matrix serves every shifted stream, so they all
+            # fall back together to the full path below.
+            shortcut_fallbacks = cfg.M - 1
+            idx = stream_indices(pinned, len(x))
             read[idx] = True
-            per_stream_samples.append(idx.shape[1])
-    else:
+            rows = x.samples[idx]
+        else:
+            shortcut_conds = [cond] * (cfg.M - 1)
+            per_stream_samples[1:] = [len(peak_bins)] * (cfg.M - 1)
+            read[stream_indices(pinned, len(x), shifted,
+                                n=len(peak_bins))] = True
+    if len(rows) == cfg.M:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], peak_bins)
     sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
 
@@ -320,7 +329,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                     continue
                 cap = (cfg.M - 1) // 2
                 fit_order = min(cap, rank + cfg.extra_terms)
-                terms = pencil_decompose(seq, fit_order, rows=cfg.M_rows)
+                terms = pencil_decompose(seq, fit_order)
             residual = model_residual(seq, terms)
             on_circle = [t for t in terms
                          if abs(abs(t.z) - 1.0) <= cfg.delta]
@@ -346,7 +355,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             bin_reports.append({"bin": b, "rank": rank, "gap": gap,
                                 "kept": len(kept), "residual": residual})
         except (NoIntersection, NoUniqueIntersection, IllConditionedPencil,
-                SvdFailure, BadShape, NoConvergence) as exc:
+                BadShape, NoConvergence) as exc:
             failures.append({"bin": int(b), "error": type(exc).__name__,
                              "detail": str(exc)})
 
@@ -358,8 +367,6 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
 
     diagnostics = {
         "stream_length": n,
-        "budget_stream_length": budget_stream_length(
-            len(x), cfg.u, cfg.s, cfg.M),
         "fine_grid_size": cfg.u * n,
         "samples_used": int(np.count_nonzero(read)),
         "per_stream_samples": per_stream_samples,
@@ -378,8 +385,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                           diagnostics=diagnostics)
 
 
-def dense_reference(x: ComplexSignal, threshold: float,
-                    max_terms: int | None = None) -> SparseSpectrum:
+def dense_reference(x: ComplexSignal, threshold: float) -> SparseSpectrum:
     """Single full-length DFT estimator over the same tone-unit threshold.
 
     The baseline the hybrid is judged against: every bin of the full
@@ -396,8 +402,6 @@ def dense_reference(x: ComplexSignal, threshold: float,
             amplitude=complex(spectrum.bins[b]) / big,
             source_bin=int(b),
             collision_order=1))
-        if max_terms is not None and len(comps) >= max_terms:
-            break
     comps.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))
     diagnostics = {"samples_used": big, "fine_grid_size": big}
     return SparseSpectrum(components=tuple(comps), config=None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, IllConditionedPencil, NoConvergence, SvdFailure
+from .errors import BadShape, IllConditionedPencil, NoConvergence
 
 DEFAULT_SIGMA_REL_TOL = 1e-3
 NOISE_FREE_SIGMA_REL_TOL = 1e-8
@@ -137,8 +137,8 @@ def estimate_order(seq: PronySequence,
     return OrderEstimate(rank=rank, singular_values=sigma, gap_ratio=gap)
 
 
-def pencil_decompose(seq: PronySequence, fit_order: int,
-                     rows: int | None = None) -> list[ExponentialTerm]:
+def pencil_decompose(seq: PronySequence,
+                     fit_order: int) -> list[ExponentialTerm]:
     """Matrix-pencil decomposition of P into ``fit_order`` exponential terms.
 
     Two shifted Hankel blocks H0 and H1 are projected onto the leading
@@ -150,7 +150,7 @@ def pencil_decompose(seq: PronySequence, fit_order: int,
     negligible amplitude or fall off the unit circle.
 
     Raises:
-        SvdFailure: the Hankel SVD did not converge.
+        NoConvergence: an SVD failed (see :func:`svd_small`).
         IllConditionedPencil: reduced pencil numerically singular (condition
             beyond 1e12) or the sequence is identically zero.
     """
@@ -158,17 +158,10 @@ def pencil_decompose(seq: PronySequence, fit_order: int,
     if not 1 <= fit_order <= (m - 1) // 2:
         raise ValueError(
             f"fit_order={fit_order} outside 1..{(m - 1) // 2} for M={m}")
-    if rows is None:
-        rows = (m + 1) // 2
-    if not fit_order + 1 <= rows <= m - fit_order:
-        raise BadShape(f"rows={rows} incompatible with fit_order={fit_order}")
-    full = hankel(seq, rows)
+    full = hankel(seq, (m + 1) // 2)
     h0 = full[:, :-1]
     h1 = full[:, 1:]
-    try:
-        u, sigma, v = svd_small(h0)
-    except NoConvergence as exc:
-        raise SvdFailure(str(exc)) from exc
+    u, sigma, v = svd_small(h0)
     if sigma[0] <= 0.0:
         raise IllConditionedPencil("cannot decompose an all-zero sequence")
     uq = u[:, :fit_order]
@@ -205,9 +198,3 @@ def model_residual(seq: PronySequence, terms: list[ExponentialTerm]) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(seq.values - model) / denom)
-
-
-def no_collision_test(r: complex, modulus_tol: float = 0.05) -> bool:
-    """Cheap pre-screen: a shifted/unshifted bin ratio off the unit circle
-    signals a collision. Order estimation remains the authoritative check."""
-    return abs(abs(r) - 1.0) <= modulus_tol

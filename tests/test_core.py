@@ -11,7 +11,6 @@ from sparsespec import (
     NonFiniteSamples,
     NotCoprime,
     StreamSpec,
-    budget_stream_length,
     circular_shift,
     dft,
     dft_at,
@@ -201,9 +200,8 @@ class TestShiftIdentity:
 
 class TestStreamLengths:
     def test_reference_setting(self):
-        # L=1000, u=50, s=17, M=12: the conservative budget formula gives
-        # 16 samples per stream while the exact no-overrun bound allows 17.
-        assert budget_stream_length(1000, 50, 17, 12) == 16
+        # L=1000, u=50, s=17, M=12: the exact no-overrun bound allows 17
+        # samples per stream.
         assert max_stream_length(1000, 50, 17, 12) == 17
 
     def test_max_length_is_tight(self):

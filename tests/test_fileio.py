@@ -108,9 +108,10 @@ class TestConfigFiles:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("u = 5\ns = 3\nM = 8\nbogus = 1\n")
-        with pytest.raises(FileFormatError):
-            read_config(path)
+        for line in ("bogus = 1", "M_rows = 3"):
+            path.write_text(f"u = 5\ns = 3\nM = 8\n{line}\n")
+            with pytest.raises(FileFormatError):
+                read_config(path)
 
     def test_missing_required_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"

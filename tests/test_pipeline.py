@@ -320,8 +320,9 @@ class TestShortcut:
         x = tone_signal([(2.0, 1.0)], 1000.0, 1000)
         spec = StreamSpec(u=250, s=1, M=2, n=4)
         peaks = PeakList(entries=((0, 1.0),))
-        with pytest.raises(ValueError):
-            shifted_coeffs_shortcut(x, peaks, spec, 0)
+        for m in (0, [0, 1]):
+            with pytest.raises(ValueError):
+                shifted_coeffs_shortcut(x, peaks, spec, m)
 
     def test_empty_peaks(self):
         x = tone_signal([(2.0, 1.0)], 1000.0, 1000)
@@ -330,6 +331,49 @@ class TestShortcut:
             x, PeakList(entries=()), spec, 1)
         assert vals.size == 0
         assert cond == 1.0
+        vals, _ = shifted_coeffs_shortcut(x, PeakList(entries=()), spec, [1])
+        assert vals.shape == (1, 0)
+
+    def test_stream_sequence_matches_single_streams(self):
+        # One solve against all shifted streams gives each stream's row bit
+        # for bit; an int stream number keeps the 1-d vector.
+        x = tone_signal([(25.0, 1.0), (42.0, 0.5j), (63.0, 0.3)], 100.0, 200)
+        spec = StreamSpec(u=5, s=2, M=9, n=20)
+        peaks = PeakList(entries=((5, 1.0), (2, 0.5), (3, 0.3)))
+        rows, cond = shifted_coeffs_shortcut(x, peaks, spec, range(1, 9))
+        assert rows.shape == (8, 3)
+        for m in range(1, 9):
+            vals, single_cond = shifted_coeffs_shortcut(x, peaks, spec, m)
+            assert vals.shape == (3,)
+            assert single_cond == cond
+            assert np.array_equal(vals, rows[m - 1])
+
+    def test_one_solve_for_all_shifted_streams(self, monkeypatch):
+        calls = {"shortcut": 0, "svd": 0, "solve": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "shifted_coeffs_shortcut", counting(
+            "shortcut", pipeline.shifted_coeffs_shortcut))
+        monkeypatch.setattr(pipeline, "svd_small",
+                            counting("svd", pipeline.svd_small))
+        monkeypatch.setattr(np.linalg, "solve",
+                            counting("solve", np.linalg.solve))
+        x = tone_signal([(25.0, 1.0), (42.0, 0.5j)], 100.0, 400)
+        res = analyze(x, HybridConfig(u=5, s=2, M=8, threshold=0.2,
+                                      sigma_rel_tol=1e-8,
+                                      shortcut_shifted=True))
+        d = res.diagnostics
+        assert calls == {"shortcut": 1, "svd": 1, "solve": 1}
+        assert d["shortcut_fallbacks"] == 0
+        assert len(d["shortcut_conditions"]) == 7
+        assert len(set(d["shortcut_conditions"])) == 1
+        assert sorted(c.freq_hz for c in res.components) == pytest.approx(
+            [25.0, 42.0])
 
     def test_fallback_keeps_analysis_working(self):
         # Eight adjacent stream bins give a tight arc of Vandermonde nodes
@@ -408,7 +452,7 @@ class TestBatchedStreams:
             return build(coeffs, bins, shift_step)
 
         def forced_fallback(x, peaks, spec, m):
-            if m in forced:
+            if forced:
                 raise IllConditionedVandermonde("forced fallback")
             return shortcut(x, peaks, spec, m)
 
@@ -436,7 +480,10 @@ class TestBatchedStreams:
                                stream_len=stream_len,
                                shortcut_shifted=bool(rng.random() < 0.5),
                                max_peaks=int(rng.integers(1, 5)))
-            forced = {m for m in range(1, M) if rng.random() < 0.4}
+            # The shortcut falls back for all shifted streams or for none;
+            # the first of M - 1 draws decides.
+            forced = (set(range(1, M)) if rng.random(M - 1)[0] < 0.4
+                      else set())
             l = np.arange(length)
             vals = 0.05 * (rng.standard_normal(length)
                            + 1j * rng.standard_normal(length))
@@ -516,8 +563,8 @@ class TestRobustness:
                     pass
 
 
-# Run in a fresh interpreter: a 2^16-sample shortcut record whose every
-# shifted stream falls back to a one-row peak-bin DFT, and a 2^20-sample
+# Run in a fresh interpreter: a 2^16-sample shortcut record whose shifted
+# streams all fall back to the full path's peak-bin DFT, and a 2^20-sample
 # record read in eight full streams. Prints the components bit for bit.
 _THREAD_SCRIPT = """
 from sparsespec import (HybridConfig, NoConvergence, analyze,

@@ -12,7 +12,6 @@ from sparsespec import (
     estimate_order,
     hankel,
     model_residual,
-    no_collision_test,
     pencil_decompose,
     svd_small,
 )
@@ -267,23 +266,6 @@ class TestPencilDecompose:
 
 
 class TestNoCollisionTest:
-    def test_unit_ratio_passes(self):
-        assert no_collision_test(np.exp(2j * np.pi * 0.37))
-
-    def test_small_ratio_fails(self):
-        assert not no_collision_test(0.5 + 0j)
-
-    def test_modulus_tolerance_edges(self):
-        assert no_collision_test(1.04 * np.exp(0.3j))
-        assert not no_collision_test(1.06 * np.exp(0.3j))
-
-    def test_generic_collision_fails(self):
-        # Ratio of two equal colliding tones: (e^{i a} + e^{i b}) / 2 has
-        # modulus |cos((a-b)/2)|, well off the circle for generic phases.
-        for delta in np.linspace(0.7, 2 * np.pi - 0.7, 9):
-            r = (1 + np.exp(1j * delta)) / 2
-            assert not no_collision_test(r)
-
     def test_term_energy(self):
         t = ExponentialTerm(amplitude=3 + 4j, z=1j)
         assert t.energy == pytest.approx(5.0)
