@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DegenerateGenerator, NoIntersection, NotCoprime, \
     NoUniqueIntersection
 
+# How far from the unit circle a pencil root may sit and still count as a
+# tone: analyze's root filter and the Generator check share it.
 DEFAULT_UNIT_TOL = 0.2
 DEFAULT_AMBIGUITY_FACTOR = 2.0
 

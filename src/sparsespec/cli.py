@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .core import dft
@@ -22,6 +22,7 @@ from .errors import (
     SparseSpecError,
 )
 from .fileio import (
+    REQUIRED_CONFIG_KEYS,
     FileFormatError,
     read_config,
     read_signal_csv,
@@ -81,9 +82,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--resolver", choices=("match", "bezout"))
     p_an.add_argument("--extra-terms", type=int, dest="extra_terms")
     p_an.add_argument("--sigma-tol", type=float, dest="sigma_rel_tol")
-    p_an.add_argument("--delta", type=float)
-    p_an.add_argument("--merge-tol", type=float, dest="merge_tol_hz")
-    p_an.add_argument("--match-tol", type=float, dest="match_tol_hz")
     p_an.add_argument("--stream-len", type=int, dest="stream_len")
     p_an.add_argument("--max-peaks", type=int, dest="max_peaks")
     p_an.add_argument("--wrap", action="store_true", default=None)
@@ -126,16 +124,12 @@ def _read_signal(path: str, rate: float, fmt: str | None):
 
 
 def _analyze_config(args) -> HybridConfig:
-    overrides = {}
-    for key in ("u", "s", "M", "threshold", "resolver", "extra_terms",
-                "sigma_rel_tol", "delta", "merge_tol_hz", "match_tol_hz",
-                "stream_len", "max_peaks", "wrap", "shortcut_shifted"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    # Each HybridConfig field has an analyze flag whose dest is its name.
+    overrides = {f.name: getattr(args, f.name) for f in fields(HybridConfig)
+                 if getattr(args, f.name) is not None}
     if args.config:
         return replace(read_config(args.config), **overrides)
-    for required in ("u", "s", "M"):
+    for required in REQUIRED_CONFIG_KEYS:
         if required not in overrides:
             raise FileFormatError(
                 f"--{required} is required when no --config is given")

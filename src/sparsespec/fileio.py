@@ -6,7 +6,10 @@ platforms for identical inputs.
 """
 from __future__ import annotations
 
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -16,14 +19,6 @@ from .pipeline import RecoveredComponent, HybridConfig, SparseSpectrum
 
 COMPONENT_HEADER = ("freq_hz,re,im,magnitude,source_bin,collision_order,"
                     "match_distance_hz,residual")
-
-_CONFIG_INT_KEYS = ("u", "s", "M", "extra_terms")
-_CONFIG_OPT_INT_KEYS = ("stream_len", "max_peaks")
-_CONFIG_FLOAT_KEYS = ("threshold", "sigma_rel_tol", "delta",
-                      "ambiguity_factor")
-_CONFIG_OPT_FLOAT_KEYS = ("merge_tol_hz", "match_tol_hz")
-_CONFIG_BOOL_KEYS = ("wrap", "shortcut_shifted")
-_CONFIG_STR_KEYS = ("resolver",)
 
 
 def _fmt(value: float) -> str:
@@ -135,57 +130,64 @@ def _parse_kv_lines(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _parse_bool(value: str, key: str, path) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise FileFormatError(f"{path}: bad boolean for {key}: {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
+
+
+def _config_schema() -> dict[str, tuple[type, bool]]:
+    """Each HybridConfig field's value type and whether it accepts None."""
+    hints = typing.get_type_hints(HybridConfig)
+    schema = {}
+    for f in fields(HybridConfig):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        base = next(k for k in kinds if k is not NoneType)
+        schema[f.name] = (base, NoneType in kinds)
+    return schema
+
+
+_CONFIG_SCHEMA = _config_schema()
+REQUIRED_CONFIG_KEYS = tuple(f.name for f in fields(HybridConfig)
+                             if f.default is MISSING)
 
 
 def read_config(path: str | Path) -> HybridConfig:
-    """Parse a flat ``key = value`` config mirroring HybridConfig fields."""
-    fields: dict = {}
+    """Parse a flat ``key = value`` config whose keys, value types and
+    required keys are those of the HybridConfig fields. An optional field
+    takes the value ``none``."""
+    values: dict = {}
     for key, value in _parse_kv_lines(path):
+        if key not in _CONFIG_SCHEMA:
+            raise FileFormatError(f"{path}: unknown config key {key!r}")
+        kind, optional = _CONFIG_SCHEMA[key]
         try:
-            if key in _CONFIG_INT_KEYS:
-                fields[key] = int(value)
-            elif key in _CONFIG_OPT_INT_KEYS:
-                fields[key] = None if value.lower() == "none" else int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key in _CONFIG_OPT_FLOAT_KEYS:
-                fields[key] = None if value.lower() == "none" \
-                    else float(value)
-            elif key in _CONFIG_BOOL_KEYS:
-                fields[key] = _parse_bool(value, key, path)
-            elif key in _CONFIG_STR_KEYS:
-                fields[key] = value
-            else:
-                raise FileFormatError(f"{path}: unknown config key {key!r}")
+            values[key] = (None if optional and value.lower() == "none"
+                           else _PARSERS[kind](value))
         except ValueError as exc:
-            if isinstance(exc, FileFormatError):
-                raise
             raise FileFormatError(
                 f"{path}: bad value for {key}: {value!r}") from exc
-    for required in ("u", "s", "M"):
-        if required not in fields:
+    for required in REQUIRED_CONFIG_KEYS:
+        if required not in values:
             raise FileFormatError(f"{path}: missing required key {required}")
-    return HybridConfig(**fields)
+    return HybridConfig(**values)
 
 
 def write_config(path: str | Path, cfg: HybridConfig) -> None:
     lines = []
-    for key in (_CONFIG_INT_KEYS + _CONFIG_FLOAT_KEYS + _CONFIG_STR_KEYS
-                + _CONFIG_BOOL_KEYS + _CONFIG_OPT_INT_KEYS
-                + _CONFIG_OPT_FLOAT_KEYS):
+    for key, (kind, _) in _CONFIG_SCHEMA.items():
         value = getattr(cfg, key)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif value is None:
+        if value is None:
             text = "none"
-        elif isinstance(value, float):
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif kind is float:
             text = _fmt(value)
         else:
             text = str(value)

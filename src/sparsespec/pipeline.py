@@ -6,7 +6,10 @@ collision-order estimation and pencil decomposition per peak bin, ambiguity
 resolution against the coprime shift step, and a final merge onto the fine
 grid. With the shortcut, one K-sample Vandermonde solve stands in for the
 peak-bin DFTs of all shifted streams; when its node matrix is too
-ill-conditioned or its SVD fails, all of them fall back to the DFTs at once. ``dense_reference`` is the brute-force single-DFT estimator used for
+ill-conditioned, too large or its SVD fails, all of them fall back to the
+DFTs at once.
+
+``dense_reference`` is the brute-force single-DFT estimator used for
 oracle comparisons and budget studies.
 
 Amplitudes everywhere are in tone units: a unit-amplitude complex tone
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aliasing import (
-    DEFAULT_AMBIGUITY_FACTOR,
+    DEFAULT_UNIT_TOL,
     Generator,
     bezout,
     candidate_set,
@@ -53,7 +56,7 @@ from .errors import (
 from .prony import (
     DEFAULT_EXTRA_TERMS,
     DEFAULT_SIGMA_REL_TOL,
-    DEFAULT_UNIT_CIRCLE_DELTA,
+    SVD_DIM_CAP,
     ExponentialTerm,
     PronySequence,
     estimate_order,
@@ -76,6 +79,10 @@ class HybridConfig:
     the per-stream length; None takes the longest the signal supports.
     ``max_peaks`` caps how many reference-stream peaks are pursued, largest
     first; None pursues all of them.
+
+    The remaining tolerances are fixed: pencil roots count within
+    ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries merge within half a
+    fine bin, and candidate matching uses ``resolve_match``'s defaults.
     """
 
     u: int
@@ -85,12 +92,8 @@ class HybridConfig:
     resolver: str = "match"
     sigma_rel_tol: float = DEFAULT_SIGMA_REL_TOL
     extra_terms: int = DEFAULT_EXTRA_TERMS
-    delta: float = DEFAULT_UNIT_CIRCLE_DELTA
     wrap: bool = False
     shortcut_shifted: bool = False
-    merge_tol_hz: float | None = None
-    match_tol_hz: float | None = None
-    ambiguity_factor: float = DEFAULT_AMBIGUITY_FACTOR
     stream_len: int | None = None
     max_peaks: int | None = None
 
@@ -103,20 +106,12 @@ class HybridConfig:
             raise ValueError("at least 2 streams are required")
         if not 0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
-        for name in ("sigma_rel_tol", "ambiguity_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("merge_tol_hz", "match_tol_hz"):
-            tol = getattr(self, name)
-            if tol is not None and not 0 <= tol < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative "
-                                 "when given")
+        if not math.isfinite(self.sigma_rel_tol):
+            raise ValueError("sigma_rel_tol must be finite")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
         if self.extra_terms < 0:
             raise ValueError("extra_terms must be nonnegative")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must sit in (0, 1)")
         if self.stream_len is not None and self.stream_len < 1:
             raise ValueError("stream_len must be positive when given")
         if self.max_peaks is not None and self.max_peaks < 1:
@@ -185,6 +180,8 @@ def shifted_coeffs_shortcut(
     Raises:
         IllConditionedVandermonde: node condition beyond 1e10; callers fall
             back to the full streams' DFTs at the peak bins.
+        BadShape: more peaks than the stream length or ``svd_small``'s
+            dimension cap; callers fall back too.
         NoConvergence: the node-matrix SVD failed; callers fall back too.
     """
     streams = np.asarray(m, dtype=np.int64).reshape(-1)
@@ -193,8 +190,9 @@ def shifted_coeffs_shortcut(
     n = spec.resolve_length(len(x))
     bins = list(peaks.bin_indices())
     k = len(bins)
-    if k > n:
-        raise BadShape(f"{k} peaks exceed stream length {n}")
+    if k > min(n, SVD_DIM_CAP):
+        raise BadShape(f"{k} peaks exceed stream length {n} or the "
+                       f"{SVD_DIM_CAP} node-matrix cap")
     if k == 0:
         values, cond = np.zeros((streams.size, 0), dtype=np.complex128), 1.0
     else:
@@ -225,7 +223,7 @@ def _two_sample_terms(seq: PronySequence) -> list[ExponentialTerm]:
 
 def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
                       rate_hz: float) -> list[RecoveredComponent]:
-    if len(comps) < 2 or tol_hz <= 0:
+    if len(comps) < 2:
         return comps
     comps = sorted(comps, key=lambda c: c.freq_hz)
     clusters: list[list[RecoveredComponent]] = [[comps[0]]]
@@ -288,7 +286,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         try:
             coeffs[1:], cond = shifted_coeffs_shortcut(x, peaks, pinned,
                                                        shifted)
-        except (IllConditionedVandermonde, NoConvergence):
+        except (IllConditionedVandermonde, BadShape, NoConvergence):
             # One node matrix serves every shifted stream, so they all
             # fall back together to the full path below.
             shortcut_fallbacks = cfg.M - 1
@@ -332,19 +330,16 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                 terms = pencil_decompose(seq, fit_order)
             residual = model_residual(seq, terms)
             on_circle = [t for t in terms
-                         if abs(abs(t.z) - 1.0) <= cfg.delta]
+                         if abs(abs(t.z) - 1.0) <= DEFAULT_UNIT_TOL]
             kept = on_circle[:rank]
             for term in kept:
-                gen_s = Generator(value=term.z, step=cfg.s,
-                                  unit_tol=cfg.delta)
+                gen_s = Generator(value=term.z, step=cfg.s)
                 if cfg.resolver == "bezout":
                     freq, _ = resolve_bezout(gen_u, gen_s, bez, rate)
                     dist = 0.0
                 else:
                     s_set = candidate_set(gen_s, rate)
-                    freq, dist = resolve_match(
-                        u_set, s_set, tol_hz=cfg.match_tol_hz,
-                        ambiguity_factor=cfg.ambiguity_factor)
+                    freq, dist = resolve_match(u_set, s_set)
                 components.append(RecoveredComponent(
                     freq_hz=float(freq),
                     amplitude=complex(term.amplitude) / n,
@@ -359,10 +354,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             failures.append({"bin": int(b), "error": type(exc).__name__,
                              "detail": str(exc)})
 
-    merge_tol = cfg.merge_tol_hz
-    if merge_tol is None:
-        merge_tol = fine_res / 2.0
-    components = _merge_components(components, merge_tol, rate)
+    components = _merge_components(components, fine_res / 2.0, rate)
     components.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))
 
     diagnostics = {

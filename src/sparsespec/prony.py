@@ -20,11 +20,10 @@ from .errors import BadShape, IllConditionedPencil, NoConvergence
 
 DEFAULT_SIGMA_REL_TOL = 1e-3
 NOISE_FREE_SIGMA_REL_TOL = 1e-8
-DEFAULT_UNIT_CIRCLE_DELTA = 0.2
 DEFAULT_EXTRA_TERMS = 2
 PENCIL_CONDITION_CAP = 1e12
+SVD_DIM_CAP = 512
 
-_SVD_DIM_CAP = 512
 _SIGMA_FLOOR_REL = 1e-14
 _Z_SANITY_CAP = 1e6
 
@@ -103,8 +102,8 @@ def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or min(A.shape) < 1:
         raise BadShape("svd_small expects a non-empty 2-d matrix")
-    if max(A.shape) > _SVD_DIM_CAP:
-        raise BadShape(f"dimensions {A.shape} exceed the {_SVD_DIM_CAP} cap")
+    if max(A.shape) > SVD_DIM_CAP:
+        raise BadShape(f"dimensions {A.shape} exceed the {SVD_DIM_CAP} cap")
     if not np.isfinite(A).all():
         raise NoConvergence("SVD of a matrix with non-finite entries")
     try:

@@ -2,6 +2,8 @@
 import random
 import subprocess
 import sys
+import typing
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,19 @@ import pytest
 from sparsespec import cli
 from sparsespec.fileio import (
     read_components_csv,
+    read_config,
+    write_config,
     write_signal_csv,
     write_signal_raw64,
     write_synth_spec,
 )
-from sparsespec import ComplexSignal, SynthSpec, ToneSpec, synthesize
+from sparsespec import (
+    ComplexSignal,
+    HybridConfig,
+    SynthSpec,
+    ToneSpec,
+    synthesize,
+)
 
 
 SIGNAL3 = SynthSpec(
@@ -153,6 +163,24 @@ class TestAnalyze:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_more_peaks_than_node_cap_exit_zero(self, tmp_path, capsys):
+        # 997 peak bins overflow the shortcut's node-matrix cap; the run
+        # falls back to the full streams instead of aborting.
+        rng = np.random.default_rng(3)
+        sig = tmp_path / "noise.csv"
+        write_signal_csv(sig, ComplexSignal(
+            samples=rng.standard_normal(1000)
+            + 1j * rng.standard_normal(1000), rate_hz=1000.0))
+        outs = []
+        for extra in ([], ["--shortcut"]):
+            outs.append(tmp_path / f"rec{len(extra)}.csv")
+            assert cli.main(["analyze", "--in", str(sig), "--out",
+                             str(outs[-1]), "--rate", "1000", "--u", "1",
+                             "--s", "1", "--M", "4", "--threshold", "0"]
+                            + extra) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+
     def test_raw64_format(self, tmp_path):
         from sparsespec.fileio import write_signal_raw64
         sig = tmp_path / "sig.raw64"
@@ -164,6 +192,28 @@ class TestAnalyze:
         assert len(read_components_csv(out)) == 3
 
 
+class TestConfigSchema:
+    # Every HybridConfig field is a config key and an analyze flag.
+    NON_DEFAULT = {int: 7, float: 0.375, bool: True, str: "bezout"}
+
+    @pytest.mark.parametrize("field", fields(HybridConfig),
+                             ids=lambda f: f.name)
+    def test_field_in_config_file_and_cli(self, field, tmp_path):
+        kind = typing.get_type_hints(HybridConfig)[field.name]
+        kind = next(k for k in typing.get_args(kind) or (kind,)
+                    if k is not type(None))
+        value = self.NON_DEFAULT[kind]
+        assert value != field.default
+        cfg = replace(HybridConfig(u=5, s=3, M=8), **{field.name: value})
+        path = tmp_path / "cfg.txt"
+        write_config(path, cfg)
+        assert read_config(path) == cfg
+        args = cli._build_parser().parse_args(
+            ["analyze", "--in", "sig.csv", "--out", "rec.csv",
+             "--rate", "1000"])
+        assert hasattr(args, field.name)
+
+
 class TestMalformedInput:
     # A short two-tone record and a config that analyzes it; the stream
     # length is left free so that a truncated signal still runs.
@@ -172,7 +222,7 @@ class TestMalformedInput:
                ToneSpec(mu_hz=85.0, amplitude=0.5j)),
         rate_hz=200.0, length=200, snr_db=None, seed=0)
     CONFIG = ("u = 10\ns = 3\nM = 6\nthreshold = 0.2\nresolver = match\n"
-              "shortcut_shifted = true\nmerge_tol_hz = none\n")
+              "shortcut_shifted = true\nmax_peaks = none\n")
 
     @staticmethod
     def corrupt(data: bytes, how: str, rnd: random.Random,
@@ -273,6 +323,13 @@ class TestUsageAndSelftest:
 
     def test_unknown_flag_exit_one(self, tmp_path, capsys):
         assert cli.main(["analyze", "--nope", "1"]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--delta", "--merge-tol",
+                                      "--match-tol"])
+    def test_removed_flag_exit_one(self, flag, capsys):
+        assert cli.main(["analyze", "--in", "sig.csv", "--out", "rec.csv",
+                         flag, "0.2"] + ANALYZE_FLAGS) == 1
         capsys.readouterr()
 
     def test_no_arguments_exit_one(self, capsys):

@@ -77,7 +77,6 @@ class TestHybridConfig:
         dict(u=5, s=3, M=1),
         dict(u=5, s=3, M=4, threshold=-1.0),
         dict(u=5, s=3, M=4, resolver="guess"),
-        dict(u=5, s=3, M=4, delta=-0.1),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -86,10 +85,6 @@ class TestHybridConfig:
     @pytest.mark.parametrize("field,value", [
         ("threshold", math.nan), ("threshold", math.inf),
         ("sigma_rel_tol", math.nan), ("sigma_rel_tol", math.inf),
-        ("ambiguity_factor", math.nan), ("ambiguity_factor", -math.inf),
-        ("merge_tol_hz", math.nan), ("merge_tol_hz", math.inf),
-        ("merge_tol_hz", -0.5), ("match_tol_hz", math.nan),
-        ("match_tol_hz", math.inf), ("match_tol_hz", -0.5),
     ])
     def test_non_finite_or_negative_values_rejected(self, field, value):
         # Each of these once gave a silent empty or merged result.
@@ -240,8 +235,7 @@ class TestAnalyze:
                                stream_len=16, sigma_rel_tol=0.05,
                                extra_terms=0)
             res = analyze(x, cfg)
-            tol = res.diagnostics.get("merge_tol_hz",
-                                      res.resolution_hz / 2)
+            tol = res.resolution_hz / 2
             freqs = [c.freq_hz for c in res.components]
             for i in range(len(freqs)):
                 for j in range(i + 1, len(freqs)):
@@ -411,6 +405,21 @@ class TestShortcut:
         for a, b in zip(full.components, res.components):
             assert a.freq_hz == pytest.approx(b.freq_hz, abs=1e-9)
             assert a.amplitude == pytest.approx(b.amplitude, abs=1e-9)
+
+    def test_more_peaks_than_node_cap_falls_back(self):
+        # Threshold 0 on noise makes every one of the 997 stream bins a
+        # peak: a node matrix beyond svd_small's 512 cap costs the
+        # shortcut, not the run.
+        rng = np.random.default_rng(3)
+        x = ComplexSignal(samples=rng.standard_normal(1000)
+                          + 1j * rng.standard_normal(1000), rate_hz=1000.0)
+        base = dict(u=1, s=1, M=4, threshold=0.0)
+        full = analyze(x, HybridConfig(**base))
+        res = analyze(x, HybridConfig(shortcut_shifted=True, **base))
+        assert len(res.diagnostics["peak_bins"]) == 997
+        assert res.diagnostics["shortcut_fallbacks"] == 3
+        assert res.components == full.components
+        assert len(res.components) > 0
 
 
 class TestDiagnostics:
