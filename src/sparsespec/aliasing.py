@@ -25,13 +25,12 @@ DEFAULT_AMBIGUITY_FACTOR = 2.0
 class Generator:
     """Unit-modulus observation exp(2*pi*i*f*step/R) of an unknown f.
 
-    Noise perturbs the modulus, so anything within ``unit_tol`` of the unit
-    circle is accepted; all angle math uses the normalized value.
+    Noise perturbs the modulus, so anything within ``DEFAULT_UNIT_TOL`` of
+    the unit circle is accepted; all angle math uses the normalized value.
     """
 
     value: complex
     step: int
-    unit_tol: float = DEFAULT_UNIT_TOL
 
     def __post_init__(self):
         if self.step < 1:
@@ -39,10 +38,10 @@ class Generator:
         mod = abs(self.value)
         if mod < 1e-12:
             raise DegenerateGenerator(f"generator magnitude {mod} too small")
-        if abs(mod - 1.0) > self.unit_tol:
+        if abs(mod - 1.0) > DEFAULT_UNIT_TOL:
             raise ValueError(
                 f"generator magnitude {mod} outside unit tolerance "
-                f"{self.unit_tol}")
+                f"{DEFAULT_UNIT_TOL}")
 
     @property
     def normalized(self) -> complex:
@@ -151,10 +150,8 @@ def circular_distance_hz(a: float, b: float, rate_hz: float) -> float:
     return min(d, rate_hz - d)
 
 
-def resolve_match(u_set: CandidateSet, s_set: CandidateSet,
-                  tol_hz: float | None = None,
-                  ambiguity_factor: float = DEFAULT_AMBIGUITY_FACTOR,
-                  ) -> tuple[float, float]:
+def resolve_match(u_set: CandidateSet,
+                  s_set: CandidateSet) -> tuple[float, float]:
     """Intersect two coprime candidate sets by nearest-pair search.
 
     Builds the full distance matrix between the two sets (circular on
@@ -162,16 +159,12 @@ def resolve_match(u_set: CandidateSet, s_set: CandidateSet,
     matched candidate from ``s_set``, which carries the off-grid precision of
     the parametric stage; the matched distance comes back for diagnostics.
 
-    Args:
-        tol_hz: reject matches worse than this; defaults to half the
-            ``u_set`` spacing, rate / (2 * multiplicity).
-        ambiguity_factor: reject when the second-best pair is within this
-            factor of the best distance.
-
     Raises:
         NotCoprime: set multiplicities share a factor.
-        NoIntersection: best pair farther apart than ``tol_hz``.
-        NoUniqueIntersection: runner-up pair too close to call.
+        NoIntersection: best pair farther apart than half the ``u_set``
+            spacing, rate / (2 * multiplicity).
+        NoUniqueIntersection: runner-up pair within
+            ``DEFAULT_AMBIGUITY_FACTOR`` of the best distance.
     """
     if math.gcd(u_set.multiplicity, s_set.multiplicity) != 1:
         raise NotCoprime(
@@ -182,8 +175,7 @@ def resolve_match(u_set: CandidateSet, s_set: CandidateSet,
     dist = np.minimum(diff, rate - diff)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     best = float(dist[i, j])
-    if tol_hz is None:
-        tol_hz = rate / (2 * u_set.multiplicity)
+    tol_hz = rate / (2 * u_set.multiplicity)
     if best > tol_hz:
         raise NoIntersection(
             f"closest candidate pair {best:.6g} Hz apart exceeds tolerance "
@@ -191,8 +183,8 @@ def resolve_match(u_set: CandidateSet, s_set: CandidateSet,
     rest = dist.copy()
     rest[i, j] = np.inf
     second = float(rest.min())
-    if second <= ambiguity_factor * best:
+    if second <= DEFAULT_AMBIGUITY_FACTOR * best:
         raise NoUniqueIntersection(
             f"runner-up pair at {second:.6g} Hz is within factor "
-            f"{ambiguity_factor} of best {best:.6g} Hz")
+            f"{DEFAULT_AMBIGUITY_FACTOR} of best {best:.6g} Hz")
     return float(s_set.candidates[j]), best

@@ -30,23 +30,30 @@ class FileFormatError(ValueError):
 
 
 def read_signal_csv(path: str | Path, rate_hz: float) -> ComplexSignal:
-    """Read a complex signal from CSV with header ``re,im``."""
+    """Read a complex signal from CSV with header ``re,im``.
+
+    Blank lines are skipped; every other line after the header is one
+    ``re,im`` pair in numpy's float syntax, parsed by a single
+    ``np.loadtxt`` call. A malformed row raises FileFormatError carrying
+    numpy's message, which names the bad cell's row and column.
+    """
     lines = Path(path).read_text().splitlines()
     rows = [ln.strip() for ln in lines if ln.strip()]
     if not rows or rows[0].replace(" ", "") != "re,im":
         raise FileFormatError(f"{path}: expected header 're,im'")
-    samples = []
-    for ln in rows[1:]:
-        cells = ln.split(",")
-        if len(cells) != 2:
-            raise FileFormatError(f"{path}: expected two cells, got {ln!r}")
-        try:
-            samples.append(complex(float(cells[0]), float(cells[1])))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad number in {ln!r}") from exc
-    if not samples:
+    # Checked before parsing: np.loadtxt warns on empty input.
+    if len(rows) == 1:
         raise FileFormatError(f"{path}: no samples")
-    return ComplexSignal(samples=np.array(samples), rate_hz=rate_hz)
+    try:
+        cells = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if cells.shape[1] != 2:
+        raise FileFormatError(
+            f"{path}: expected two cells per row, got {cells.shape[1]}")
+    # A complex view keeps each (re, im) pair's bits, signed zeros included.
+    return ComplexSignal(samples=cells.view(np.complex128)[:, 0],
+                         rate_hz=rate_hz)
 
 
 def write_signal_csv(path: str | Path, x: ComplexSignal) -> None:
@@ -57,21 +64,18 @@ def write_signal_csv(path: str | Path, x: ComplexSignal) -> None:
 
 
 def read_signal_raw64(path: str | Path, rate_hz: float) -> ComplexSignal:
-    """Read little-endian float64 (re, im) pairs."""
+    """Read little-endian complex128 samples: float64 (re, im) pairs."""
     raw = Path(path).read_bytes()
     if len(raw) == 0 or len(raw) % 16 != 0:
         raise FileFormatError(
             f"{path}: size {len(raw)} is not a positive multiple of 16")
-    flat = np.frombuffer(raw, dtype="<f8")
-    samples = flat[0::2] + 1j * flat[1::2]
+    # The copy makes the buffer writable and in native byte order.
+    samples = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     return ComplexSignal(samples=samples, rate_hz=rate_hz)
 
 
 def write_signal_raw64(path: str | Path, x: ComplexSignal) -> None:
-    flat = np.empty(2 * len(x), dtype="<f8")
-    flat[0::2] = x.samples.real
-    flat[1::2] = x.samples.imag
-    Path(path).write_bytes(flat.tobytes())
+    Path(path).write_bytes(x.samples.astype("<c16").tobytes())
 
 
 def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> None:

@@ -82,7 +82,7 @@ class HybridConfig:
 
     The remaining tolerances are fixed: pencil roots count within
     ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries merge within half a
-    fine bin, and candidate matching uses ``resolve_match``'s defaults.
+    fine bin, and ``resolve_match`` fixes the candidate-matching tolerances.
     """
 
     u: int

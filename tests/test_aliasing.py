@@ -6,6 +6,7 @@ import pytest
 
 from sparsespec import (
     BezoutPair,
+    CandidateSet,
     DegenerateGenerator,
     Generator,
     NoIntersection,
@@ -182,11 +183,15 @@ class TestResolveMatch:
         assert dist == pytest.approx(offset * 17 / 17, abs=1e-6)
 
     def test_all_far_raises_no_intersection(self):
+        # A hand-built set: 50 u-candidates all at 500 Hz sit 22 Hz from
+        # the nearest step-17 candidate, beyond half the 20 Hz spacing.
         rate = 1000.0
-        u_set = candidate_set(generator_for(125.0, 50, rate), rate)
+        u_set = CandidateSet(generator=generator_for(500.0, 50, rate),
+                             multiplicity=50, candidates=np.full(50, 500.0),
+                             rate_hz=rate)
         s_set = candidate_set(generator_for(125.0, 17, rate), rate)
         with pytest.raises(NoIntersection):
-            resolve_match(u_set, s_set, tol_hz=-1.0)
+            resolve_match(u_set, s_set)
 
     def test_near_tie_raises_ambiguous(self):
         # U spacing 2 Hz, S spacing 3 Hz on a 6 Hz band; offsetting the

@@ -182,7 +182,6 @@ class TestAnalyze:
         capsys.readouterr()
 
     def test_raw64_format(self, tmp_path):
-        from sparsespec.fileio import write_signal_raw64
         sig = tmp_path / "sig.raw64"
         write_signal_raw64(sig, synthesize(SIGNAL3))
         out = tmp_path / "rec.csv"
@@ -190,6 +189,18 @@ class TestAnalyze:
                          "--format", "raw64"] + ANALYZE_FLAGS)
         assert code == 0
         assert len(read_components_csv(out)) == 3
+        csv_out = tmp_path / "rec_csv.csv"
+        assert cli.main(["analyze", "--in", str(write_signal3(tmp_path)),
+                         "--out", str(csv_out)] + ANALYZE_FLAGS) == 0
+        assert out.read_bytes() == csv_out.read_bytes()
+
+    def test_raw64_infinite_imaginary_part_exit_two(self, tmp_path, capsys):
+        sig = tmp_path / "inf.raw64"
+        sig.write_bytes(np.array([1.0, 2.0, 3.0, np.inf], "<f8").tobytes())
+        code = cli.main(["analyze", "--in", str(sig), "--out",
+                         str(tmp_path / "x.csv")] + ANALYZE_FLAGS)
+        assert code == 2
+        assert "NaN or infinite" in capsys.readouterr().err
 
 
 class TestConfigSchema:

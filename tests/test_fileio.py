@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from sparsespec import ComplexSignal, HybridConfig, SynthSpec, ToneSpec
+from sparsespec import ComplexSignal, HybridConfig, NonFiniteSamples, \
+    SynthSpec, ToneSpec
 from sparsespec.fileio import (
     FileFormatError,
     read_components_csv,
@@ -25,22 +26,69 @@ def sample_signal():
     return ComplexSignal(samples=vals, rate_hz=64.0)
 
 
+def extreme_signal():
+    """sample_signal() followed by every (re, im) pair of signed zeros, the
+    smallest subnormals and the largest finite floats."""
+    extremes = [-0.0, 0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    re, im = np.meshgrid(extremes, extremes)
+    vals = np.concatenate([sample_signal().samples, np.zeros(re.size)])
+    vals.real[32:] = re.ravel()
+    vals.imag[32:] = im.ravel()
+    return ComplexSignal(samples=vals, rate_hz=64.0)
+
+
 class TestSignalFiles:
     def test_csv_round_trip(self, tmp_path):
-        x = sample_signal()
+        x = extreme_signal()
         path = tmp_path / "sig.csv"
         write_signal_csv(path, x)
         back = read_signal_csv(path, rate_hz=64.0)
         assert np.allclose(back.samples, x.samples, atol=1e-12)
+        assert back.samples.tobytes() == x.samples.tobytes()
         assert back.rate_hz == pytest.approx(64.0)
         assert path.read_text().splitlines()[0] == "re,im"
 
     def test_raw64_round_trip(self, tmp_path):
-        x = sample_signal()
+        x = extreme_signal()
         path = tmp_path / "sig.raw64"
         write_signal_raw64(path, x)
         back = read_signal_raw64(path, rate_hz=64.0)
         assert np.array_equal(back.samples, x.samples)
+        assert back.samples.tobytes() == x.samples.tobytes()
+        assert back.samples.flags.writeable
+
+    def test_raw64_infinite_imaginary_part_rejected(self, tmp_path):
+        path = tmp_path / "inf.raw64"
+        path.write_bytes(np.array([1.0, 2.0, 3.0, np.inf], "<f8").tobytes())
+        with pytest.raises(NonFiniteSamples):
+            read_signal_raw64(path, rate_hz=10.0)
+
+    @pytest.mark.parametrize("text", ["re,im\n1,2\n   \n\t\n3,4\n",
+                                      "re,im\r\n1,2\r\n3,4\r\n"],
+                             ids=["blank_lines", "crlf"])
+    def test_csv_line_forms_accepted(self, tmp_path, text):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode())
+        back = read_signal_csv(path, rate_hz=10.0)
+        assert back.samples.tolist() == [1 + 2j, 3 + 4j]
+
+    def test_header_only_csv_rejected(self, tmp_path):
+        # Rejected before parsing; np.loadtxt would warn on empty input,
+        # which the suite turns into an error.
+        path = tmp_path / "empty.csv"
+        path.write_text("re,im\n\n")
+        with pytest.raises(FileFormatError, match="no samples"):
+            read_signal_csv(path, rate_hz=10.0)
+
+    @pytest.mark.parametrize("rows", ["1,2,3", "1,2\n3,4,5", "#1,2", "1_0,2"],
+                             ids=["three_cells", "ragged", "comment",
+                                  "underscore"])
+    def test_bad_csv_row_rejected(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"re,im\n{rows}\n")
+        with pytest.raises(FileFormatError):
+            read_signal_csv(path, rate_hz=10.0)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
