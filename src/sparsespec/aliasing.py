@@ -8,6 +8,7 @@ coprime steps share exactly one element, which is the unaliased frequency.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +50,20 @@ class Generator:
 
     @property
     def angle_cycles(self) -> float:
-        """Argument of the normalized value as a fraction of a turn, in [0, 1).
+        return angle_cycles(self.value)
 
-        Values within roundoff of a full turn snap to 0 so that an exact-DC
-        observation does not label its candidates one epsilon below the next
-        grid line.
-        """
-        cycles = (np.angle(self.normalized) / (2 * np.pi)) % 1.0
-        if cycles > 1.0 - 1e-12:
-            cycles = 0.0
-        return float(cycles)
+
+def angle_cycles(value: complex) -> float:
+    """Argument of value / |value| as a fraction of a turn, in [0, 1).
+
+    Values within roundoff of a full turn snap to 0 so that an exact-DC
+    observation does not label its candidates one epsilon below the next
+    grid line.
+    """
+    cycles = (np.angle(value / abs(value)) / (2 * np.pi)) % 1.0
+    if cycles > 1.0 - 1e-12:
+        cycles = 0.0
+    return float(cycles)
 
 
 @dataclass(frozen=True)
@@ -152,12 +157,12 @@ def circular_distance_hz(a: float, b: float, rate_hz: float) -> float:
 
 def resolve_match(u_set: CandidateSet,
                   s_set: CandidateSet) -> tuple[float, float]:
-    """Intersect two coprime candidate sets by nearest-pair search.
+    """Intersect two coprime candidate sets: their nearest pair on the circle.
 
-    Builds the full distance matrix between the two sets (circular on
-    [0, rate)) and takes the closest pair. The returned frequency is the
-    matched candidate from ``s_set``, which carries the off-grid precision of
-    the parametric stage; the matched distance comes back for diagnostics.
+    The pair comes from the lattice rounding of :func:`resolve_cycles` on
+    the generators' angles, its distance from the sets' own candidates.
+    Returns the matched ``s_set`` candidate, which carries the off-grid
+    precision of the parametric stage, and that distance for diagnostics.
 
     Raises:
         NotCoprime: set multiplicities share a factor.
@@ -166,25 +171,49 @@ def resolve_match(u_set: CandidateSet,
         NoUniqueIntersection: runner-up pair within
             ``DEFAULT_AMBIGUITY_FACTOR`` of the best distance.
     """
-    if math.gcd(u_set.multiplicity, s_set.multiplicity) != 1:
+    return _nearest_pair(
+        u_set.generator.angle_cycles, u_set.multiplicity,
+        s_set.generator.angle_cycles, s_set.multiplicity, u_set.rate_hz,
+        u_set.candidates.__getitem__, s_set.candidates.__getitem__)
+
+
+def resolve_cycles(a_u: float, u: int, a_s: float, s: int,
+                   rate_hz: float) -> tuple[float, float]:
+    """:func:`resolve_match`, bit for bit, on the candidate sets of step-u
+    and step-s generators at angle cycles a_u and a_s, without building
+    them: candidate k of a step-d set is (a + k) * rate_hz / d."""
+    return _nearest_pair(a_u, u, a_s, s, rate_hz,
+                         lambda k: (a_u + k) * rate_hz / u,
+                         lambda j: (a_s + j) * rate_hz / s)
+
+
+def _nearest_pair(a_u: float, u: int, a_s: float, s: int, rate_hz: float,
+                  u_freq: Callable[[int], float],
+                  s_freq: Callable[[int], float]) -> tuple[float, float]:
+    # Candidates k and j differ by R/(u s) * (c - N), c = s a_u - u a_s,
+    # N = u j - s k, and (k, j) -> N mod u s is one-to-one for coprime u, s.
+    # The best and runner-up pairs are the two integers N next to c, both
+    # within round(c) +- 1 whichever way rounding tips c.
+    if math.gcd(u, s) != 1:
         raise NotCoprime(
-            f"candidate multiplicities {u_set.multiplicity} and "
-            f"{s_set.multiplicity} must be coprime")
-    rate = u_set.rate_hz
-    diff = np.abs(u_set.candidates[:, None] - s_set.candidates[None, :]) % rate
-    dist = np.minimum(diff, rate - diff)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    best = float(dist[i, j])
-    tol_hz = rate / (2 * u_set.multiplicity)
+            f"candidate multiplicities {u} and {s} must be coprime")
+    u_inv, s_inv = pow(u, -1, s), pow(s, -1, u)
+    near = round(s * a_u - u * a_s)
+    pairs = {((-n * s_inv) % u, (n * u_inv) % s)
+             for n in (near - 1, near, near + 1)}
+    # A tie raises NoUniqueIntersection below, so it needs no rule.
+    ranked = sorted((circular_distance_hz(u_freq(k), s_freq(j), rate_hz),
+                     k, j) for k, j in pairs)
+    best, _, j = ranked[0]
+    best = float(best)
+    tol_hz = rate_hz / (2 * u)
     if best > tol_hz:
         raise NoIntersection(
             f"closest candidate pair {best:.6g} Hz apart exceeds tolerance "
             f"{tol_hz:.6g} Hz")
-    rest = dist.copy()
-    rest[i, j] = np.inf
-    second = float(rest.min())
+    second = float(ranked[1][0]) if len(ranked) > 1 else math.inf
     if second <= DEFAULT_AMBIGUITY_FACTOR * best:
         raise NoUniqueIntersection(
             f"runner-up pair at {second:.6g} Hz is within factor "
             f"{DEFAULT_AMBIGUITY_FACTOR} of best {best:.6g} Hz")
-    return float(s_set.candidates[j]), best
+    return float(s_freq(j)), best

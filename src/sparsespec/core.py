@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import IndexBudgetExceeded, NonFiniteSamples, NotCoprime
 
+PEAK_FLOOR_REL = 1e-12
+
 
 @dataclass(frozen=True)
 class ComplexSignal:
@@ -234,13 +236,15 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
 def select_peaks(spectrum: Spectrum, threshold: float) -> PeakList:
     """All bins with |X_j| >= threshold, strongest first.
 
-    Ties in magnitude are ordered by ascending bin index so the output is
+    Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
+    whatever the threshold: they are that peak's rounding leakage. Ties in
+    magnitude are ordered by ascending bin index so the output is
     deterministic.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     mags = np.abs(spectrum.bins)
-    hits = np.flatnonzero(mags >= threshold)
-    order = sorted(hits, key=lambda j: (-mags[j], j))
+    hits = np.flatnonzero(mags >= max(threshold, PEAK_FLOOR_REL * mags.max()))
+    order = hits[np.argsort(-mags[hits], kind="stable")]
     entries = tuple((int(j), float(mags[j])) for j in order)
     return PeakList(entries=entries, threshold=threshold)

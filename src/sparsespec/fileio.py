@@ -29,15 +29,27 @@ class FileFormatError(ValueError):
     """Malformed input file (bad header, cell, or key)."""
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
 def read_signal_csv(path: str | Path, rate_hz: float) -> ComplexSignal:
     """Read a complex signal from CSV with header ``re,im``.
 
     Blank lines are skipped; every other line after the header is one
     ``re,im`` pair in numpy's float syntax, parsed by a single
-    ``np.loadtxt`` call. A malformed row raises FileFormatError carrying
-    numpy's message, which names the bad cell's row and column.
+    ``np.loadtxt`` call. A malformed row raises FileFormatError naming its
+    line in the file, followed by numpy's message; so does a file that is
+    not UTF-8 text.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     rows = [ln.strip() for ln in lines if ln.strip()]
     if not rows or rows[0].replace(" ", "") != "re,im":
         raise FileFormatError(f"{path}: expected header 're,im'")
@@ -45,9 +57,19 @@ def read_signal_csv(path: str | Path, rate_hz: float) -> ComplexSignal:
     if len(rows) == 1:
         raise FileFormatError(f"{path}: no samples")
     try:
-        cells = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+        cells = _parse_rows(rows[1:])
     except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+        # The shortest failing prefix ends at the first bad row: bisect.
+        lo, hi = 1, len(rows) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                _parse_rows(rows[1:mid + 1])
+                lo = mid + 1
+            except ValueError:
+                hi = mid
+        line = [i for i, ln in enumerate(lines, 1) if ln.strip()][lo]
+        raise FileFormatError(f"{path}: line {line}: {exc}") from exc
     if cells.shape[1] != 2:
         raise FileFormatError(
             f"{path}: expected two cells per row, got {cells.shape[1]}")
@@ -99,7 +121,7 @@ def write_components_csv(path: str | Path, result: SparseSpectrum) -> None:
 
 
 def read_components_csv(path: str | Path) -> list[RecoveredComponent]:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     rows = [ln.strip() for ln in lines if ln.strip()]
     if not rows or rows[0] != COMPONENT_HEADER:
         raise FileFormatError(f"{path}: unexpected component header")
@@ -123,7 +145,7 @@ def read_components_csv(path: str | Path) -> list[RecoveredComponent]:
 
 def _parse_kv_lines(path: str | Path) -> list[tuple[str, str]]:
     pairs = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

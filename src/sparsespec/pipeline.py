@@ -28,10 +28,12 @@ import numpy as np
 from .aliasing import (
     DEFAULT_UNIT_TOL,
     Generator,
+    angle_cycles,
     bezout,
-    candidate_set,
+    candidate_set,  # noqa: F401 -- re-exported; tracers patch it here
     resolve_bezout,
-    resolve_match,
+    resolve_cycles,
+    resolve_match,  # noqa: F401 -- re-exported; tracers patch it here
 )
 from .core import (
     ComplexSignal,
@@ -80,7 +82,8 @@ class HybridConfig:
     ``max_peaks`` caps how many reference-stream peaks are pursued, largest
     first; None pursues all of them.
 
-    The remaining tolerances are fixed: pencil roots count within
+    The remaining tolerances are fixed: ``select_peaks`` drops peaks under
+    ``PEAK_FLOOR_REL`` of the largest, pencil roots count within
     ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries merge within half a
     fine bin, and ``resolve_match`` fixes the candidate-matching tolerances.
     """
@@ -238,9 +241,11 @@ def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
             clusters[0] = clusters.pop() + clusters[0]
     merged = []
     for cluster in clusters:
-        total = sum(c.amplitude for c in cluster)
-        rep = max(cluster, key=lambda c: (abs(c.amplitude), -c.freq_hz))
-        merged.append(replace(rep, amplitude=complex(total)))
+        if len(cluster) > 1:
+            rep = max(cluster, key=lambda c: (abs(c.amplitude), -c.freq_hz))
+            total = complex(sum(c.amplitude for c in cluster))
+            cluster = [replace(rep, amplitude=total)]
+        merged.extend(cluster)
     return merged
 
 
@@ -309,9 +314,8 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
 
     for b in peak_bins:
         seq = sequences[b]
-        gen_u = Generator(value=complex(np.exp(2j * np.pi * b / n)),
-                          step=cfg.u)
-        u_set = candidate_set(gen_u, rate)
+        z_u = complex(np.exp(2j * np.pi * b / n))
+        a_u = angle_cycles(z_u)
         try:
             if cfg.M == 2:
                 rank = 1
@@ -333,13 +337,14 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                          if abs(abs(t.z) - 1.0) <= DEFAULT_UNIT_TOL]
             kept = on_circle[:rank]
             for term in kept:
-                gen_s = Generator(value=term.z, step=cfg.s)
                 if cfg.resolver == "bezout":
-                    freq, _ = resolve_bezout(gen_u, gen_s, bez, rate)
+                    freq, _ = resolve_bezout(
+                        Generator(value=z_u, step=cfg.u),
+                        Generator(value=term.z, step=cfg.s), bez, rate)
                     dist = 0.0
                 else:
-                    s_set = candidate_set(gen_s, rate)
-                    freq, dist = resolve_match(u_set, s_set)
+                    freq, dist = resolve_cycles(
+                        a_u, cfg.u, angle_cycles(term.z), cfg.s, rate)
                 components.append(RecoveredComponent(
                     freq_hz=float(freq),
                     amplitude=complex(term.amplitude) / n,

@@ -5,9 +5,10 @@ P(m) = sum_i a_i * z_i^m with one term per colliding component. The matrix
 pencil on a Hankel arrangement of P recovers the per-step ratios z_i and the
 amplitudes a_i; the Hankel singular values count the components.
 
-Every SVD goes through ``svd_small``, one guarded LAPACK call: it refuses
-non-finite matrices and reports any failure as ``NoConvergence``, which
-``analyze`` records as a per-bin failure.
+Every SVD is one guarded LAPACK call, ``svd_small`` or, where only the
+singular values are read, ``singular_values``: both refuse non-finite
+matrices and report any failure as ``NoConvergence``, which ``analyze``
+records as a per-bin failure.
 """
 from __future__ import annotations
 
@@ -99,18 +100,29 @@ def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             singular values for one or never return), or LAPACK did not
             converge.
     """
+    u, sigma, vh = _guarded_svd(a, compute_uv=True)
+    return u, sigma, vh.conj().T
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of ``a``, descending, with :func:`svd_small`'s
+    checks and errors. LAPACK computes no singular vectors, by another
+    algorithm, so the last bits can differ from ``svd_small``'s sigma."""
+    return _guarded_svd(a, compute_uv=False)
+
+
+def _guarded_svd(a: np.ndarray, compute_uv: bool):
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or min(A.shape) < 1:
-        raise BadShape("svd_small expects a non-empty 2-d matrix")
+        raise BadShape("SVD expects a non-empty 2-d matrix")
     if max(A.shape) > SVD_DIM_CAP:
         raise BadShape(f"dimensions {A.shape} exceed the {SVD_DIM_CAP} cap")
     if not np.isfinite(A).all():
         raise NoConvergence("SVD of a matrix with non-finite entries")
     try:
-        u, sigma, vh = np.linalg.svd(A, full_matrices=False)
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK SVD failed: {exc}") from exc
-    return u, sigma, vh.conj().T
 
 
 def estimate_order(seq: PronySequence,
@@ -125,7 +137,7 @@ def estimate_order(seq: PronySequence,
     if m < 3:
         raise BadShape("order estimation needs at least 3 sequence values")
     rows = (m + 1) // 2
-    _, sigma, _ = svd_small(hankel(seq, rows))
+    sigma = singular_values(hankel(seq, rows))
     if sigma[0] <= 0.0:
         return OrderEstimate(rank=0, singular_values=sigma, gap_ratio=math.inf)
     rank = int(np.count_nonzero(sigma >= sigma_rel_tol * sigma[0]))
@@ -169,7 +181,7 @@ def pencil_decompose(seq: PronySequence,
     # the true rank (exact-data case: trailing sigma at roundoff level).
     inv = 1.0 / np.maximum(sigma[:fit_order], _SIGMA_FLOOR_REL * sigma[0])
     reduced = inv[:, None] * (uq.conj().T @ h1 @ vq)
-    _, rs, _ = svd_small(reduced)
+    rs = singular_values(reduced)
     if rs[-1] <= 0.0 or rs[0] / rs[-1] > PENCIL_CONDITION_CAP:
         raise IllConditionedPencil(
             f"reduced pencil condition beyond {PENCIL_CONDITION_CAP:.0e}")
@@ -189,10 +201,10 @@ def pencil_decompose(seq: PronySequence,
 
 def model_residual(seq: PronySequence, terms: list[ExponentialTerm]) -> float:
     """Relative l2 misfit of the term model against the sequence."""
-    m = len(seq)
-    model = np.zeros(m, dtype=np.complex128)
-    for term in terms:
-        model += term.amplitude * np.asarray(term.z, dtype=np.complex128) ** np.arange(m)
+    amps = np.array([term.amplitude for term in terms], dtype=np.complex128)
+    zs = np.array([term.z for term in terms], dtype=np.complex128)
+    # Summed over axis 0, term after term, as a running sum would.
+    model = (amps[:, None] * zs[:, None] ** np.arange(len(seq))).sum(axis=0)
     denom = np.linalg.norm(seq.values)
     if denom == 0.0:
         return 0.0

@@ -18,6 +18,7 @@ from sparsespec import (
     resolve_bezout,
     resolve_match,
 )
+from sparsespec.aliasing import resolve_cycles
 
 
 def generator_for(freq, step, rate, scale=1.0):
@@ -205,3 +206,89 @@ class TestResolveMatch:
     def test_circular_distance(self):
         assert circular_distance_hz(1.0, 999.0, 1000.0) == pytest.approx(2.0)
         assert circular_distance_hz(10.0, 30.0, 1000.0) == pytest.approx(20.0)
+
+
+def matrix_match(u_set, s_set):
+    """Brute-force oracle: the full u x s circular distance matrix."""
+    rate = u_set.rate_hz
+    diff = np.abs(u_set.candidates[:, None] - s_set.candidates[None, :]) % rate
+    dist = np.minimum(diff, rate - diff)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    best = float(dist[i, j])
+    if best > rate / (2 * u_set.multiplicity):
+        raise NoIntersection("oracle")
+    rest = dist.copy()
+    rest[i, j] = np.inf
+    if float(rest.min()) <= 2.0 * best:
+        raise NoUniqueIntersection("oracle")
+    return float(s_set.candidates[j]), best
+
+
+def outcome(fn, *args):
+    try:
+        freq, dist = fn(*args)
+    except (NoIntersection, NoUniqueIntersection) as exc:
+        return type(exc)
+    return np.float64(freq).tobytes(), np.float64(dist).tobytes()
+
+
+COPRIME_PAIRS = [(1, 1), (2, 1), (1, 3), (3, 2), (4, 3), (7, 5), (50, 17),
+                 (17, 50), (142, 7), (142, 17)]
+
+
+class TestClosedFormPairing:
+    """The lattice rounding against the full distance matrix: same pair,
+    same distance bits, same error type."""
+
+    def check(self, g_u, g_s, rate):
+        u_set = candidate_set(g_u, rate)
+        s_set = candidate_set(g_s, rate)
+        want = outcome(matrix_match, u_set, s_set)
+        assert outcome(resolve_match, u_set, s_set) == want
+        assert outcome(resolve_cycles, g_u.angle_cycles, g_u.step,
+                       g_s.angle_cycles, g_s.step, rate) == want
+        return want
+
+    @pytest.mark.parametrize("u,s", COPRIME_PAIRS)
+    def test_random_generators(self, u, s):
+        rng = np.random.default_rng([u, s])
+        rate = 1000.0
+        outcomes = set()
+        for _ in range(150):
+            f = rng.uniform(0, rate)
+            # From an exact match to an unrelated s-generator.
+            err = rng.choice([0.0, 1e-9, 1e-3, 0.1, 1.0]) * rate / (u * s)
+            err = rate * rng.random() if rng.random() < 0.2 else err
+            want = self.check(generator_for(f, u, rate),
+                              generator_for(f + err, s, rate), rate)
+            outcomes.add(want if isinstance(want, type) else tuple)
+        if u * s > 2:
+            assert outcomes >= {tuple, NoUniqueIntersection}
+
+    @pytest.mark.parametrize("u,s", [(50, 17), (142, 7), (4, 3)])
+    def test_seam_of_the_circle(self, u, s):
+        rate = 1000.0
+        for f in (0.0, 1e-12, 1e-9, 1e-6, -1e-12, -1e-9, -1e-6):
+            for shift in (0.0, 1e-7, -1e-7):
+                self.check(generator_for(f, u, rate),
+                           generator_for(f + shift, s, rate), rate)
+
+    @pytest.mark.parametrize("u,s", [(50, 17), (142, 17), (3, 2), (5, 3)])
+    def test_ambiguity_boundary(self, u, s):
+        # Runner-up at exactly twice the best distance: c = s a_u - u a_s
+        # one third of the way between two integers, nudged both ways.
+        rng = np.random.default_rng([u, s, 3])
+        rate = 1000.0
+        checked = 0
+        for _ in range(60):
+            a_u = rng.random()
+            c = s * a_u - u * rng.random()
+            for nudge in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9):
+                for side in (1 / 3, 2 / 3):
+                    a_s = (s * a_u - (math.floor(c) + side + nudge)) / u
+                    if not 0.0 <= a_s < 1.0:
+                        continue
+                    self.check(Generator(np.exp(2j * np.pi * a_u), u),
+                               Generator(np.exp(2j * np.pi * a_s), s), rate)
+                    checked += 1
+        assert checked > 100

@@ -105,6 +105,14 @@ class TestAnalyze:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"re,im\n1,2\n\xff,3\n")
+        code = cli.main(["analyze", "--in", str(bad),
+                         "--out", str(tmp_path / "x.csv")] + ANALYZE_FLAGS)
+        assert code == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_sample_exit_two(self, tmp_path, capsys, cell):
         sig = write_signal3(tmp_path)

@@ -262,6 +262,15 @@ class TestSelectPeaks:
         assert [(b, m) for b, m in peaks.entries] == [(1, 5.0), (2, 5.0),
                                                       (0, 3.0)]
 
+    def test_equal_magnitudes_keep_bin_order(self):
+        from sparsespec import Spectrum
+        mags = np.repeat([2.0, 7.0, 4.0, 7.0], 32)
+        peaks = select_peaks(Spectrum(bins=mags.astype(np.complex128),
+                                      bin_hz=1.0), 3.0)
+        assert peaks.bin_indices() == (list(range(32, 64))
+                                       + list(range(96, 128))
+                                       + list(range(64, 96)))
+
     def test_empty_allowed(self):
         spec = dft(make_signal([0, 0, 0, 0]))
         assert select_peaks(spec, 0.5).entries == ()

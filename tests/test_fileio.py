@@ -102,11 +102,34 @@ class TestSignalFiles:
         with pytest.raises(FileFormatError):
             read_signal_csv(path, rate_hz=10.0)
 
+    @pytest.mark.parametrize("text,line", [
+        ("re,im\n\n1,2\nfoo,3\n", 4),
+        ("re,im\n1,2\n3\n", 3),
+        ("re,im\r\n1,2\r\n   \r\n" + "5,6\r\n" * 40 + "7,8,9\r\n", 44),
+    ], ids=["bad_cell", "short_row", "wide_row"])
+    def test_csv_error_names_file_line(self, tmp_path, text, line):
+        # Header and blank lines count; numpy's own row count does not.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FileFormatError, match=f"bad.csv: line {line}: "):
+            read_signal_csv(path, rate_hz=10.0)
+
     def test_truncated_raw64_rejected(self, tmp_path):
         path = tmp_path / "bad.raw64"
         path.write_bytes(b"\x00" * 20)
         with pytest.raises(FileFormatError):
             read_signal_raw64(path, rate_hz=10.0)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda p: read_signal_csv(p, rate_hz=10.0), read_components_csv,
+    read_config, read_synth_spec], ids=["signal", "components", "config",
+                                        "synth_spec"])
+def test_non_utf8_file_rejected(tmp_path, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"re,im\n1,2\n\xff,3\n")
+    with pytest.raises(FileFormatError, match="latin1.txt: not UTF-8"):
+        reader(path)
 
 
 class TestSpectrumFiles:

@@ -117,6 +117,18 @@ class TestAnalyze:
         res = analyze(x, HybridConfig(u=5, s=2, M=6, threshold=0.1))
         assert res.components == ()
 
+    def test_peak_floor_relative_to_largest_peak(self):
+        # The FFT's rounding leakage of a 1e16 tone, about 1e-15 of it in
+        # every bin, still clears threshold * n; the relative floor keeps
+        # those 24 bins from becoming components.
+        n = np.arange(1000)
+        x = ComplexSignal(samples=1e16 * np.exp(2j * np.pi * 125 * n / 1000),
+                          rate_hz=1000.0)
+        res = analyze(x, experiment_1_config())
+        assert len(res.components) == 1
+        assert res.components[0].freq_hz == pytest.approx(125.0)
+        assert res.components[0].magnitude == pytest.approx(1e16)
+
     def test_collision_pair_resolved(self):
         # 25 Hz and 85 Hz collide at stride 5 of a 100 Hz grid
         # (both fall on stream bin 5 of the 20 Hz streams).

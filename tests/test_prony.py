@@ -15,6 +15,7 @@ from sparsespec import (
     pencil_decompose,
     svd_small,
 )
+from sparsespec.prony import singular_values
 
 
 def sequence_of(terms, m, shift_step=1):
@@ -132,6 +133,35 @@ class TestSvdSmall:
             svd_small(np.eye(3, dtype=np.complex128))
 
 
+class TestSingularValues:
+    def test_match_full_svd(self):
+        rng = np.random.default_rng(11)
+        for shape in ((14, 15), (6, 7), (3, 3), (1, 4)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            _, full, _ = svd_small(a)
+            assert np.allclose(singular_values(a), full, rtol=1e-12,
+                               atol=1e-14 * full[0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.ones((4, 3), dtype=np.complex128)
+        a[2, 1] = bad
+        with pytest.raises(NoConvergence):
+            singular_values(a)
+
+    def test_oversized_rejected(self):
+        with pytest.raises(BadShape):
+            singular_values(np.zeros((2, 513), dtype=np.complex128))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergence):
+            singular_values(np.eye(3, dtype=np.complex128))
+
+
 class TestEstimateOrder:
     def test_single_term(self):
         seq = sequence_of([(1.0, np.exp(2j * np.pi * 0.21))], 12)
@@ -158,6 +188,24 @@ class TestEstimateOrder:
                             shift_step=1)
         with pytest.raises(BadShape):
             estimate_order(seq, 1e-8)
+
+    def test_rank_matches_full_svd(self):
+        # Seeded sums of 1-5 terms, noise-free and noisy, long and short:
+        # the vector-free singular values give the full SVD's rank.
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            m = int(rng.integers(3, 29))
+            q = int(rng.integers(1, 6))
+            amps = rng.uniform(0.1, 2, q) * np.exp(2j * np.pi * rng.random(q))
+            zs = np.exp(2j * np.pi * rng.random(q))
+            vals = sequence_of(list(zip(amps, zs)), m).values
+            vals = vals + rng.choice([0.0, 1e-6, 1e-2]) * (
+                rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            seq = PronySequence(values=vals, shift_step=1)
+            tol = float(rng.choice([1e-8, 1e-3, 0.05]))
+            _, full, _ = svd_small(hankel(seq, (m + 1) // 2))
+            want = int(np.count_nonzero(full >= tol * full[0]))
+            assert estimate_order(seq, tol).rank == want
 
     def test_singular_values_descending(self):
         rng = np.random.default_rng(8)
@@ -259,6 +307,27 @@ class TestPencilDecompose:
                     trial += min(angle_distance(t.z, z) for t in terms)
                 errs[q].append(trial)
         assert np.median(errs[4]) < np.median(errs[2])
+
+    def test_residual_equals_term_by_term_sum(self):
+        # The reference: the model summed one term at a time. The product
+        # over all terms keeps that order, so the residual bits agree.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            m = int(rng.integers(3, 29))
+            vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            seq = PronySequence(values=vals, shift_step=1)
+            terms = [ExponentialTerm(amplitude=complex(a), z=complex(z))
+                     for a, z in zip(
+                         rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                         np.exp(rng.uniform(-0.2, 0.2, 5)
+                                + 2j * np.pi * rng.random(5)))
+                     ][:int(rng.integers(0, 6))]
+            model = np.zeros(m, dtype=np.complex128)
+            for term in terms:
+                model += term.amplitude * np.asarray(
+                    term.z, dtype=np.complex128) ** np.arange(m)
+            want = float(np.linalg.norm(vals - model) / np.linalg.norm(vals))
+            assert model_residual(seq, terms) == want
 
     def test_residual_of_empty_model(self):
         seq = sequence_of([(1.0, 1j)], 8)
