@@ -80,8 +80,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--M", type=int)
     p_an.add_argument("--threshold", type=float)
     p_an.add_argument("--resolver", choices=("match", "bezout"))
-    p_an.add_argument("--extra-terms", type=int, dest="extra_terms")
-    p_an.add_argument("--sigma-tol", type=float, dest="sigma_rel_tol")
     p_an.add_argument("--stream-len", type=int, dest="stream_len")
     p_an.add_argument("--max-peaks", type=int, dest="max_peaks")
     p_an.add_argument("--wrap", action="store_true", default=None)

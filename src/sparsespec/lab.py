@@ -23,7 +23,7 @@ from .pipeline import (
     build_prony_sequences,
     dense_reference,
 )
-from .prony import NOISE_FREE_SIGMA_REL_TOL, estimate_order
+from .prony import estimate_order
 
 EXPERIMENT_1_TONES = (
     ((125.0, 1.0 + 0.0j),),
@@ -215,11 +215,7 @@ def experiment_1_spec(signal_index: int, seed: int = 0,
 
 
 def experiment_1_config() -> HybridConfig:
-    # sigma_rel_tol sits between the SNR 30 noise floor (~0.006 sigma1)
-    # and the weakest collision singular value (~0.16 sigma1);
-    # extra_terms=0 keeps noise poles out of the amplitude solve.
-    return HybridConfig(u=50, s=17, M=12, threshold=0.2, stream_len=16,
-                        sigma_rel_tol=0.05, extra_terms=0)
+    return HybridConfig(u=50, s=17, M=12, threshold=0.2, stream_len=16)
 
 
 def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
@@ -253,7 +249,7 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
         bins = hybrid.diagnostics["peak_bins"]
         sequences = build_prony_sequences(spectra[:, bins], bins, cfg.s)
         for b, seq in sequences.items():
-            est = estimate_order(seq, cfg.sigma_rel_tol)
+            est = estimate_order(seq, hybrid.diagnostics["noise_sigma"])
             _write_prony_csv(run_dir / f"prony_{b}.csv", seq,
                              est.singular_values)
         _write_manifest(run_dir / "config.txt", [
@@ -268,7 +264,9 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
             ("samples_used", hybrid.diagnostics["samples_used"]),
             ("resolution_hz", _fmt(hybrid.resolution_hz)),
             ("components", len(hybrid.components)),
+            ("noise_sigma", _fmt(hybrid.diagnostics["noise_sigma"])),
             ("recall", _fmt(report.recall)),
+            ("precision", _fmt(report.precision)),
         ])
         results[f"signal{k + 1}"] = {
             "spec": spec, "hybrid": hybrid, "dense": dense, "eval": report,
@@ -292,9 +290,9 @@ def experiment_2_spec(seed: int = 0,
 
 
 def experiment_2_config(M: int, snr_db: float | None) -> HybridConfig:
-    sigma_tol = NOISE_FREE_SIGMA_REL_TOL if snr_db is None else 1e-3
-    return HybridConfig(u=142, s=7, M=M, threshold=0.25,
-                        sigma_rel_tol=sigma_tol, max_peaks=64)
+    """Config for experiment 2 with M streams. ``snr_db`` does not change
+    it: ``analyze`` measures the noise itself."""
+    return HybridConfig(u=142, s=7, M=M, threshold=0.25, max_peaks=64)
 
 
 def _mu_clusters(mus, gap_hz: float = 4.0) -> list[list[float]]:
@@ -360,7 +358,9 @@ def run_experiment_2(M: int, snr_db: float | None, out_dir: str | Path,
         ("budget_dense_resolution_hz", _fmt(spec.rate_hz / used)),
         ("full_dense_resolution_hz", _fmt(spec.rate_hz / spec.length)),
         ("components", len(hybrid.components)),
+        ("noise_sigma", _fmt(hybrid.diagnostics["noise_sigma"])),
         ("recall", _fmt(report.recall)),
+        ("precision", _fmt(report.precision)),
     ])
     return {"spec": spec, "hybrid": hybrid, "dense": dense, "eval": report,
             "dir": out, "config": cfg}
@@ -406,9 +406,7 @@ def _selftest_trial(rng: np.random.Generator) -> dict | None:
     spec = SynthSpec(tones=tones, rate_hz=rate, length=length, snr_db=None,
                      seed=0)
     x = synthesize(spec)
-    cfg = HybridConfig(u=u, s=s, M=9, threshold=0.25,
-                       sigma_rel_tol=NOISE_FREE_SIGMA_REL_TOL,
-                       stream_len=n)
+    cfg = HybridConfig(u=u, s=s, M=9, threshold=0.25, stream_len=n)
     hybrid = analyze(x, cfg)
     dense = dense_reference(x, 0.25)
 

@@ -56,11 +56,10 @@ from .errors import (
     NoUniqueIntersection,
 )
 from .prony import (
-    DEFAULT_EXTRA_TERMS,
-    DEFAULT_SIGMA_REL_TOL,
     SVD_DIM_CAP,
     ExponentialTerm,
     PronySequence,
+    estimate_noise,
     estimate_order,
     model_residual,
     pencil_decompose,
@@ -83,9 +82,11 @@ class HybridConfig:
     first; None pursues all of them.
 
     The remaining tolerances are fixed: ``select_peaks`` drops peaks under
-    ``PEAK_FLOOR_REL`` of the largest, pencil roots count within
-    ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries merge within half a
-    fine bin, and ``resolve_match`` fixes the candidate-matching tolerances.
+    ``PEAK_FLOOR_REL`` of the largest, ``estimate_order`` counts a bin's
+    tones above the noise ``estimate_noise`` reads off the reference
+    spectrum, pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit
+    circle, recoveries merge within half a fine bin, and ``resolve_match``
+    fixes the candidate-matching tolerances.
     """
 
     u: int
@@ -93,8 +94,6 @@ class HybridConfig:
     M: int
     threshold: float = 0.1
     resolver: str = "match"
-    sigma_rel_tol: float = DEFAULT_SIGMA_REL_TOL
-    extra_terms: int = DEFAULT_EXTRA_TERMS
     wrap: bool = False
     shortcut_shifted: bool = False
     stream_len: int | None = None
@@ -109,12 +108,8 @@ class HybridConfig:
             raise ValueError("at least 2 streams are required")
         if not 0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
-        if not math.isfinite(self.sigma_rel_tol):
-            raise ValueError("sigma_rel_tol must be finite")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
-        if self.extra_terms < 0:
-            raise ValueError("extra_terms must be nonnegative")
         if self.stream_len is not None and self.stream_len < 1:
             raise ValueError("stream_len must be positive when given")
         if self.max_peaks is not None and self.max_peaks < 1:
@@ -308,34 +303,30 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
 
     components: list[RecoveredComponent] = []
-    failures: list[dict] = []
     bin_reports: list[dict] = []
     bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
+    noise = estimate_noise(reference)
 
     for b in peak_bins:
         seq = sequences[b]
         z_u = complex(np.exp(2j * np.pi * b / n))
         a_u = angle_cycles(z_u)
+        report = {"bin": b, "rank": 0, "gap": math.inf, "kept": 0,
+                  "residual": 0.0, "error": None}
+        bin_reports.append(report)
         try:
             if cfg.M == 2:
-                rank = 1
-                gap = math.inf
+                report["rank"] = 1
                 terms = _two_sample_terms(seq)
             else:
-                est = estimate_order(seq, cfg.sigma_rel_tol)
-                rank = est.rank
-                gap = est.gap_ratio
-                if rank == 0:
-                    bin_reports.append({"bin": b, "rank": 0, "gap": gap,
-                                        "kept": 0, "residual": 0.0})
+                est = estimate_order(seq, noise)
+                report.update(rank=est.rank, gap=est.gap_ratio)
+                if est.rank == 0:
                     continue
-                cap = (cfg.M - 1) // 2
-                fit_order = min(cap, rank + cfg.extra_terms)
-                terms = pencil_decompose(seq, fit_order)
-            residual = model_residual(seq, terms)
-            on_circle = [t for t in terms
-                         if abs(abs(t.z) - 1.0) <= DEFAULT_UNIT_TOL]
-            kept = on_circle[:rank]
+                terms = pencil_decompose(seq, min((cfg.M - 1) // 2, est.rank))
+            residual = report["residual"] = model_residual(seq, terms)
+            kept = [t for t in terms
+                    if abs(abs(t.z) - 1.0) <= DEFAULT_UNIT_TOL]
             for term in kept:
                 if cfg.resolver == "bezout":
                     freq, _ = resolve_bezout(
@@ -352,24 +343,24 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                     collision_order=len(kept),
                     match_distance_hz=float(dist),
                     residual=residual))
-            bin_reports.append({"bin": b, "rank": rank, "gap": gap,
-                                "kept": len(kept), "residual": residual})
+                report["kept"] += 1
         except (NoIntersection, NoUniqueIntersection, IllConditionedPencil,
                 BadShape, NoConvergence) as exc:
-            failures.append({"bin": int(b), "error": type(exc).__name__,
-                             "detail": str(exc)})
+            # Components of the bin's earlier terms stay.
+            report.update(error=type(exc).__name__, detail=str(exc))
 
     components = _merge_components(components, fine_res / 2.0, rate)
     components.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))
 
     diagnostics = {
         "stream_length": n,
+        "noise_sigma": noise,
         "fine_grid_size": cfg.u * n,
         "samples_used": int(np.count_nonzero(read)),
         "per_stream_samples": per_stream_samples,
         "peak_bins": [int(b) for b in peak_bins],
         "bin_reports": bin_reports,
-        "failures": failures,
+        "failures": [r for r in bin_reports if r["error"]],
         "resolver": cfg.resolver,
         "shortcut_shifted": cfg.shortcut_shifted,
         "shortcut_conditions": shortcut_conds,

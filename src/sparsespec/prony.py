@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import BadShape, IllConditionedPencil, NoConvergence
 
-DEFAULT_SIGMA_REL_TOL = 1e-3
-NOISE_FREE_SIGMA_REL_TOL = 1e-8
-DEFAULT_EXTRA_TERMS = 2
+NOISE_EDGE_FACTOR = 2.0
+RANK_FLOOR_REL = 1e-8
 PENCIL_CONDITION_CAP = 1e12
 SVD_DIM_CAP = 512
 
@@ -125,13 +124,24 @@ def _guarded_svd(a: np.ndarray, compute_uv: bool):
         raise NoConvergence(f"LAPACK SVD failed: {exc}") from exc
 
 
-def estimate_order(seq: PronySequence,
-                   sigma_rel_tol: float = DEFAULT_SIGMA_REL_TOL) -> OrderEstimate:
+def estimate_noise(spectrum: np.ndarray) -> float:
+    """Noise standard deviation of one DFT value, median |X| / sqrt(ln 2):
+    |X|^2 of circular Gaussian noise is exponential, its median ln 2 times
+    its mean. Valid while most bins hold only noise."""
+    mags = np.abs(spectrum)
+    mid = mags.size // 2
+    return float(np.partition(mags, mid)[mid] / math.sqrt(math.log(2.0)))
+
+
+def estimate_order(seq: PronySequence, noise_sigma: float) -> OrderEstimate:
     """Count meaningful components from the Hankel singular spectrum.
 
-    The rank is the number of singular values at or above
-    ``sigma_rel_tol`` times the largest; the ratio across that cut is
-    reported so callers can judge how clear the detection was.
+    The rank counts the singular values at or above both the noise edge
+    ``NOISE_EDGE_FACTOR * noise_sigma * (sqrt(r) + sqrt(c))`` of the r x c
+    Hankel and ``RANK_FLOOR_REL`` times the largest (rounding on exact
+    data). ``noise_sigma`` is one value's noise deviation, as from
+    :func:`estimate_noise`. The ratio across the cut is reported so callers
+    can judge how clear the detection was.
     """
     m = len(seq)
     if m < 3:
@@ -140,7 +150,9 @@ def estimate_order(seq: PronySequence,
     sigma = singular_values(hankel(seq, rows))
     if sigma[0] <= 0.0:
         return OrderEstimate(rank=0, singular_values=sigma, gap_ratio=math.inf)
-    rank = int(np.count_nonzero(sigma >= sigma_rel_tol * sigma[0]))
+    edge = NOISE_EDGE_FACTOR * noise_sigma * (
+        math.sqrt(rows) + math.sqrt(m - rows + 1))
+    rank = int(np.count_nonzero(sigma >= max(edge, RANK_FLOOR_REL * sigma[0])))
     if rank < sigma.size and sigma[rank] > 0.0:
         gap = float(sigma[rank - 1] / sigma[rank]) if rank > 0 else math.inf
     else:
@@ -157,8 +169,8 @@ def pencil_decompose(seq: PronySequence,
     pencil are the per-step ratios z_i, and a least-squares Vandermonde fit
     against the full sequence recovers the amplitudes. Terms come back sorted
     by descending |amplitude|. Fitting more terms than the sequence truly has
-    is supported (and is how noise gets absorbed); the surplus terms carry
-    negligible amplitude or fall off the unit circle.
+    is supported; the surplus terms carry negligible amplitude or fall off
+    the unit circle.
 
     Raises:
         NoConvergence: an SVD failed (see :func:`svd_small`).

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine primary criteria, one verdict line each.
+"""Acceptance gate: ten primary criteria, one verdict line each.
 
 Each test prints its verdict through ``capsys.disabled()`` so the line is
 visible in the live pytest output at any verbosity.
@@ -178,7 +178,7 @@ def test_criterion_4_prony_exactness(capsys):
         for a, z in zip(amps, zs):
             vals += a * z ** idx
         seq = PronySequence(values=vals, shift_step=1)
-        est = estimate_order(seq, 1e-8)
+        est = estimate_order(seq, 0.0)
         assert est.rank == q
         assert est.gap_ratio >= 1e8
         terms = pencil_decompose(seq, q)
@@ -372,3 +372,30 @@ def test_criterion_9_thread_determinism(capsys, tmp_path):
     with capsys.disabled():
         print(f"criterion 9: PASS - {len(digests[0])} CSV files "
               f"byte-identical across 3 runs")
+
+
+def test_criterion_10_experiment_2_precision(capsys):
+    # One config serves every SNR: analyze measures the noise itself.
+    start = time.monotonic()
+    cfg = experiment_2_config(M=28, snr_db=None)
+    assert experiment_2_config(M=28, snr_db=10.0) == cfg
+    lines = []
+    for snr_db, tol_hz in ((None, 0.2), (10.0, 0.4)):
+        matched = components = tones = 0
+        for seed in range(10):
+            spec = experiment_2_spec(seed=seed, snr_db=snr_db)
+            res = analyze(synthesize(spec), cfg)
+            report = evaluate(spec, res, tol_hz=tol_hz)
+            matched += len(report.matched)
+            components += len(res.components)
+            tones += len(spec.tones)
+        precision = matched / components
+        recall = matched / tones
+        assert precision >= 0.6
+        label = "noise-free" if snr_db is None else f"SNR{snr_db:g}"
+        lines.append(f"{label} precision {precision:.3f} recall "
+                     f"{recall:.3f}")
+    elapsed = time.monotonic() - start
+    with capsys.disabled():
+        print(f"criterion 10: PASS - M=28, seeds 0-9, pooled "
+              f"{', '.join(lines)}, {elapsed:.1f}s")

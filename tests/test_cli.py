@@ -157,13 +157,24 @@ class TestAnalyze:
     def test_infinite_config_value_exit_two(self, tmp_path, capsys):
         sig = write_signal3(tmp_path)
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("u = 50\ns = 17\nM = 12\nthreshold = 0.2\n"
-                       "sigma_rel_tol = inf\n")
+        cfg.write_text("u = 50\ns = 17\nM = 12\nthreshold = inf\n")
         code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",
                          "--config", str(cfg),
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "sigma_rel_tol must be finite" in capsys.readouterr().err
+        assert "threshold must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["sigma_rel_tol = 0.05",
+                                      "extra_terms = 0"])
+    def test_removed_config_key_exit_two(self, tmp_path, capsys, line):
+        sig = write_signal3(tmp_path)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"u = 50\ns = 17\nM = 12\n{line}\n")
+        code = cli.main(["analyze", "--in", str(sig), "--rate", "1000",
+                         "--config", str(cfg),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_missing_geometry_exit_two(self, tmp_path):
         sig = write_signal3(tmp_path)
@@ -345,7 +356,8 @@ class TestUsageAndSelftest:
         capsys.readouterr()
 
     @pytest.mark.parametrize("flag", ["--delta", "--merge-tol",
-                                      "--match-tol"])
+                                      "--match-tol", "--sigma-tol",
+                                      "--extra-terms"])
     def test_removed_flag_exit_one(self, flag, capsys):
         assert cli.main(["analyze", "--in", "sig.csv", "--out", "rec.csv",
                          flag, "0.2"] + ANALYZE_FLAGS) == 1

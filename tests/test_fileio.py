@@ -162,7 +162,6 @@ class TestSpectrumFiles:
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2, resolver="bezout",
-                           sigma_rel_tol=0.05, extra_terms=0,
                            wrap=True, shortcut_shifted=True, stream_len=16)
         path = tmp_path / "cfg.txt"
         write_config(path, cfg)
@@ -181,7 +180,8 @@ class TestConfigFiles:
         # Removed fields are unknown keys too.
         for line in ("bogus = 1", "M_rows = 3", "delta = 0.2",
                      "merge_tol_hz = none", "match_tol_hz = none",
-                     "ambiguity_factor = 2.0"):
+                     "ambiguity_factor = 2.0", "sigma_rel_tol = 0.05",
+                     "extra_terms = 0"):
             path.write_text(f"u = 5\ns = 3\nM = 8\n{line}\n")
             with pytest.raises(FileFormatError):
                 read_config(path)

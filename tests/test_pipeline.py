@@ -14,6 +14,7 @@ from sparsespec import (
     IllConditionedVandermonde,
     NoConvergence,
     NotCoprime,
+    NoUniqueIntersection,
     PeakList,
     SparseSpecError,
     StreamSpec,
@@ -84,7 +85,6 @@ class TestHybridConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("threshold", math.nan), ("threshold", math.inf),
-        ("sigma_rel_tol", math.nan), ("sigma_rel_tol", math.inf),
     ])
     def test_non_finite_or_negative_values_rejected(self, field, value):
         # Each of these once gave a silent empty or merged result.
@@ -134,8 +134,7 @@ class TestAnalyze:
         # (both fall on stream bin 5 of the 20 Hz streams).
         rate = 100.0
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
-        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                           sigma_rel_tol=1e-8)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
         res = analyze(x, cfg)
         found = {round(c.freq_hz, 6): c for c in res.components}
         assert set(found) == {25.0, 85.0}
@@ -149,7 +148,7 @@ class TestAnalyze:
         rate, length = 240.0, 240
         x = tone_signal([(30.0, 1.2), (75.0, 0.9j), (110.0, -0.7)],
                         rate, length)
-        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25, sigma_rel_tol=1e-8,
+        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25,
                            stream_len=60, wrap=True)
         res = analyze(x, cfg)
         dense = dense_reference(x, 0.25)
@@ -161,16 +160,15 @@ class TestAnalyze:
         # 25 Hz and 40 Hz land on stream bins 5 and 0; the first order
         # estimate fails to converge, the other bin still resolves.
         x = tone_signal([(25.0, 1.0), (40.0, 0.5)], 100.0, 200)
-        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                           sigma_rel_tol=1e-8)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
         real = pipeline.estimate_order
         calls = []
 
-        def first_fails(seq, tol):
+        def first_fails(seq, noise_sigma):
             calls.append(seq)
             if len(calls) == 1:
                 raise NoConvergence("sweep cap reached")
-            return real(seq, tol)
+            return real(seq, noise_sigma)
 
         monkeypatch.setattr(pipeline, "estimate_order", first_fails)
         res = analyze(x, cfg)
@@ -178,6 +176,35 @@ class TestAnalyze:
         assert [(f["bin"], f["error"]) for f in res.diagnostics["failures"]] \
             == [(first, "NoConvergence")]
         assert [c.source_bin for c in res.components] == [second]
+        assert [(r["bin"], r["error"], r["kept"])
+                for r in res.diagnostics["bin_reports"]] \
+            == [(first, "NoConvergence", 0), (second, None, 1)]
+
+    def test_partial_bin_keeps_earlier_terms(self, monkeypatch):
+        # A collision bin of order 2 whose second term cannot be paired
+        # keeps the first term's component, is listed in failures, and its
+        # report counts only the term that produced a component.
+        x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], 100.0, 200)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
+        real = pipeline.resolve_cycles
+        calls = []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NoUniqueIntersection("two candidates")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "resolve_cycles", second_fails)
+        res = analyze(x, cfg)
+        (b,) = res.diagnostics["peak_bins"]
+        assert len(res.components) == 1
+        assert res.components[0].source_bin == b
+        assert [(f["bin"], f["error"]) for f in res.diagnostics["failures"]] \
+            == [(b, "NoUniqueIntersection")]
+        (report,) = res.diagnostics["bin_reports"]
+        assert (report["rank"], report["kept"], report["error"]) \
+            == (2, 1, "NoUniqueIntersection")
 
     def test_two_stream_zero_ratio_is_a_bin_failure(self):
         # Every fifth sample set: stream 1 (offset s=2) reads only zeros,
@@ -214,8 +241,7 @@ class TestAnalyze:
         rate = 100.0
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
         view = counted(x)
-        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                           sigma_rel_tol=1e-8)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
         res = analyze(x, cfg)
         assert len(view.touched) <= 9 * 20
         assert res.diagnostics["samples_used"] == len(view.touched)
@@ -224,11 +250,11 @@ class TestAnalyze:
         rate = 100.0
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
         full = analyze(x, HybridConfig(u=5, s=2, M=9, threshold=0.2,
-                                       stream_len=20, sigma_rel_tol=1e-8))
+                                       stream_len=20))
         y = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
         view = counted(y)
         cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                           sigma_rel_tol=1e-8, shortcut_shifted=True)
+                           shortcut_shifted=True)
         fast = analyze(y, cfg)
         assert len(view.touched) < 9 * 20
         for a, b in zip(full.components, fast.components):
@@ -244,8 +270,7 @@ class TestAnalyze:
                             + 1j * rng.standard_normal(1000))
             x = ComplexSignal(samples=base.samples + noise, rate_hz=rate)
             cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2,
-                               stream_len=16, sigma_rel_tol=0.05,
-                               extra_terms=0)
+                               stream_len=16)
             res = analyze(x, cfg)
             tol = res.resolution_hz / 2
             freqs = [c.freq_hz for c in res.components]
@@ -257,7 +282,7 @@ class TestAnalyze:
     def test_components_sorted_by_magnitude(self):
         rate = 240.0
         x = tone_signal([(30.0, 0.6), (75.0, 1.4), (110.0, 1.0)], rate, 240)
-        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25, sigma_rel_tol=1e-8,
+        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25,
                            stream_len=60, wrap=True)
         res = analyze(x, cfg)
         mags = [abs(c.amplitude) for c in res.components]
@@ -266,7 +291,7 @@ class TestAnalyze:
     def test_resolver_bezout_agrees_noise_free(self):
         rate = 240.0
         x = tone_signal([(30.0, 1.2), (110.0, -0.7)], rate, 240)
-        base = dict(u=4, s=3, M=9, threshold=0.25, sigma_rel_tol=1e-8,
+        base = dict(u=4, s=3, M=9, threshold=0.25,
                     stream_len=60, wrap=True)
         match = analyze(x, HybridConfig(**base))
         bez = analyze(x, HybridConfig(resolver="bezout", **base))
@@ -371,7 +396,6 @@ class TestShortcut:
                             counting("solve", np.linalg.solve))
         x = tone_signal([(25.0, 1.0), (42.0, 0.5j)], 100.0, 400)
         res = analyze(x, HybridConfig(u=5, s=2, M=8, threshold=0.2,
-                                      sigma_rel_tol=1e-8,
                                       shortcut_shifted=True))
         d = res.diagnostics
         assert calls == {"shortcut": 1, "svd": 1, "solve": 1}
@@ -388,7 +412,7 @@ class TestShortcut:
         rate = 240.0
         tones = [(30.0 + k, np.exp(0.7j * k)) for k in range(12)]
         x = tone_signal(tones, rate, 240)
-        cfg = HybridConfig(u=2, s=1, M=8, threshold=0.3, sigma_rel_tol=1e-8,
+        cfg = HybridConfig(u=2, s=1, M=8, threshold=0.3,
                            stream_len=120, wrap=True, shortcut_shifted=True)
         res = analyze(x, cfg)
         freqs = sorted(c.freq_hz for c in res.components)
@@ -399,8 +423,7 @@ class TestShortcut:
         # A node-matrix SVD that does not converge costs the shortcut, not
         # the run: every shifted stream is read in full instead.
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], 100.0, 200)
-        base = dict(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                    sigma_rel_tol=1e-8)
+        base = dict(u=5, s=2, M=9, threshold=0.2, stream_len=20)
         full = analyze(x, HybridConfig(**base))
 
         def no_convergence(a):
@@ -438,15 +461,16 @@ class TestDiagnostics:
     def test_budget_and_reports_present(self):
         rate = 100.0
         x = tone_signal([(25.0, 1.0)], rate, 200)
-        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
-                           sigma_rel_tol=1e-8)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
         res = analyze(x, cfg)
         d = res.diagnostics
         assert d["stream_length"] == 20
         assert d["fine_grid_size"] == 100
         assert d["samples_used"] <= 9 * 20
         assert len(d["per_stream_samples"]) == 9
-        assert d["bin_reports"]
+        assert [r["bin"] for r in d["bin_reports"]] == d["peak_bins"]
+        # A noise-free on-grid record: the median bin holds rounding only.
+        assert 0.0 <= d["noise_sigma"] < 1e-12
         assert res.resolution_hz == pytest.approx(rate / 100)
 
 

@@ -15,7 +15,12 @@ from sparsespec import (
     pencil_decompose,
     svd_small,
 )
-from sparsespec.prony import singular_values
+from sparsespec.prony import (
+    NOISE_EDGE_FACTOR,
+    RANK_FLOOR_REL,
+    estimate_noise,
+    singular_values,
+)
 
 
 def sequence_of(terms, m, shift_step=1):
@@ -165,7 +170,7 @@ class TestSingularValues:
 class TestEstimateOrder:
     def test_single_term(self):
         seq = sequence_of([(1.0, np.exp(2j * np.pi * 0.21))], 12)
-        est = estimate_order(seq, 1e-8)
+        est = estimate_order(seq, 0.0)
         assert est.rank == 1
         assert est.gap_ratio >= 1e8
 
@@ -174,20 +179,46 @@ class TestEstimateOrder:
         amps = [1.0, np.exp(1j * np.pi / 3), np.exp(1j * np.pi / 4)]
         for q in (2, 3):
             seq = sequence_of(list(zip(amps[:q], z[:q])), 12)
-            est = estimate_order(seq, 1e-8)
+            est = estimate_order(seq, 0.0)
             assert est.rank == q
             assert est.gap_ratio >= 1e8
 
     def test_zero_sequence(self):
         seq = PronySequence(values=np.zeros(8, dtype=np.complex128),
                             shift_step=1)
-        assert estimate_order(seq, 1e-8).rank == 0
+        assert estimate_order(seq, 0.0).rank == 0
 
     def test_too_short_rejected(self):
         seq = PronySequence(values=np.ones(2, dtype=np.complex128),
                             shift_step=1)
         with pytest.raises(BadShape):
-            estimate_order(seq, 1e-8)
+            estimate_order(seq, 0.0)
+
+    def test_noise_only_gives_rank_zero(self):
+        # Circular Gaussian noise of known sigma: the largest Hankel
+        # singular value stays under the noise edge.
+        rng = np.random.default_rng(13)
+        for m in (3, 8, 12, 28, 63):
+            for _ in range(100):
+                vals = 0.3 * (rng.standard_normal(m)
+                              + 1j * rng.standard_normal(m)) / math.sqrt(2)
+                seq = PronySequence(values=vals, shift_step=1)
+                assert estimate_order(seq, 0.3).rank == 0
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_rank_is_scale_free(self, scale):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            m = int(rng.integers(5, 29))
+            q = int(rng.integers(1, 4))
+            amps = rng.uniform(0.1, 2, q) * np.exp(2j * np.pi * rng.random(q))
+            zs = np.exp(2j * np.pi * rng.random(q))
+            noise = float(rng.choice([0.0, 1e-3, 0.1]))
+            vals = sequence_of(list(zip(amps, zs)), m).values + noise * (
+                rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            want = estimate_order(PronySequence(vals, 1), noise).rank
+            scaled = PronySequence(vals * scale, 1)
+            assert estimate_order(scaled, noise * scale).rank == want
 
     def test_rank_matches_full_svd(self):
         # Seeded sums of 1-5 terms, noise-free and noisy, long and short:
@@ -199,19 +230,37 @@ class TestEstimateOrder:
             amps = rng.uniform(0.1, 2, q) * np.exp(2j * np.pi * rng.random(q))
             zs = np.exp(2j * np.pi * rng.random(q))
             vals = sequence_of(list(zip(amps, zs)), m).values
-            vals = vals + rng.choice([0.0, 1e-6, 1e-2]) * (
+            noise = float(rng.choice([0.0, 1e-6, 1e-2]))
+            vals = vals + noise * (
                 rng.standard_normal(m) + 1j * rng.standard_normal(m))
             seq = PronySequence(values=vals, shift_step=1)
-            tol = float(rng.choice([1e-8, 1e-3, 0.05]))
-            _, full, _ = svd_small(hankel(seq, (m + 1) // 2))
-            want = int(np.count_nonzero(full >= tol * full[0]))
-            assert estimate_order(seq, tol).rank == want
+            rows = (m + 1) // 2
+            _, full, _ = svd_small(hankel(seq, rows))
+            edge = NOISE_EDGE_FACTOR * noise * math.sqrt(2) * (
+                math.sqrt(rows) + math.sqrt(m - rows + 1))
+            want = int(np.count_nonzero(
+                full >= max(edge, RANK_FLOOR_REL * full[0])))
+            assert estimate_order(seq, noise * math.sqrt(2)).rank == want
 
     def test_singular_values_descending(self):
         rng = np.random.default_rng(8)
         vals = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        est = estimate_order(PronySequence(values=vals, shift_step=1), 1e-3)
+        est = estimate_order(PronySequence(values=vals, shift_step=1), 0.0)
         assert np.all(np.diff(est.singular_values) <= 1e-12)
+
+
+class TestEstimateNoise:
+    def test_reads_sigma_of_gaussian_noise(self):
+        rng = np.random.default_rng(15)
+        vals = 2.5 * (rng.standard_normal(20001)
+                      + 1j * rng.standard_normal(20001)) / math.sqrt(2)
+        vals[:50] += 1e3  # a few strong tones do not move the median
+        assert estimate_noise(vals) == pytest.approx(2.5, rel=0.03)
+
+    def test_no_overflow_near_float_max(self):
+        vals = np.full(9, 1e300 + 1e300j)
+        assert estimate_noise(vals) == pytest.approx(
+            math.sqrt(2) * 1e300 / math.sqrt(math.log(2)))
 
 
 class TestPencilDecompose:
@@ -272,7 +321,7 @@ class TestPencilDecompose:
             seq = sequence_of(list(zip(amps, zs)), 2 * q + 6)
             terms = pencil_decompose(seq, q)
             assert len(terms) == q
-            est = estimate_order(seq, 1e-8)
+            est = estimate_order(seq, 0.0)
             assert est.rank == q
             assert est.gap_ratio >= 1e8
             assert model_residual(seq, terms) <= 1e-9
