@@ -2,7 +2,10 @@
 
 A signal lives on a uniform grid at ``rate_hz``. Decimating by a stride ``u``
 and shifting the start by multiples of ``s`` grid samples produces the short
-sub-streams the rest of the pipeline works on.
+sub-streams the rest of the pipeline works on. Stream m, sample l is
+x[u*l + m*s], so :func:`stream_view` reads all M streams as one strided view
+of the record, with no index array; a wrapping plan that runs past the end
+reads the record's periodic extension instead.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ class ComplexSignal:
     """Uniformly sampled complex time series.
 
     Attributes:
-        samples: complex sample values.
+        samples: complex sample values, stored C-contiguous.
         rate_hz: sample rate of the underlying grid, Hz.
         origin_index: offset of sample 0 on the underlying grid (streams
             extracted with a shift remember where they started).
@@ -35,7 +38,7 @@ class ComplexSignal:
     origin_index: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = np.asarray(self.samples, dtype=np.complex128, order="C")
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a non-empty 1-d sequence")
@@ -103,13 +106,17 @@ class StreamSpec:
                 f"no feasible stream length for u={self.u}, s={self.s}, "
                 f"M={self.M} against {source_length} samples")
         if not self.wrap:
-            last = self.u * (n - 1) + (self.M - 1) * self.s
+            last = self.span(n) - 1
             if last > source_length - 1:
                 raise IndexBudgetExceeded(
                     f"stream index {last} exceeds last sample "
                     f"{source_length - 1} (u={self.u}, s={self.s}, "
                     f"M={self.M}, n={n})")
         return n
+
+    def span(self, n: int) -> int:
+        """Grid samples from the first stream index to the last, inclusive."""
+        return self.u * (n - 1) + (self.M - 1) * self.s + 1
 
 
 @dataclass(frozen=True)
@@ -199,34 +206,38 @@ def circular_shift(x: ComplexSignal, s: int) -> ComplexSignal:
                          origin_index=x.origin_index)
 
 
-def stream_indices(spec: StreamSpec, source_length: int,
-                   streams: list[int] | None = None,
-                   n: int | None = None) -> np.ndarray:
-    """Source indices of the decimation plan, one row per stream.
+def stream_view(a: np.ndarray, spec: StreamSpec,
+                writeable: bool = False) -> np.ndarray:
+    """The plan's M streams as rows of one strided view of ``a``.
 
-    Row i, column l holds u*l + m*s for the i-th stream m of ``streams``
-    (default: all M), modulo ``source_length`` when the spec wraps. ``n``
-    columns; None takes the spec's length, resolved against the source,
-    which raises IndexBudgetExceeded when a stream would overrun it.
+    Row m, column l is a[(u*l + m*s) mod len(a)], for the spec's length n
+    resolved against ``a`` (IndexBudgetExceeded when a stream would overrun
+    it without wrapping). The view points into ``a`` (C-contiguous, 1-d)
+    with strides (s, u) samples, or into its periodic extension when a
+    wrapping plan spans more than ``a``. It is read-only unless
+    ``writeable``, as a mask of the samples a run reads must be.
     """
-    if n is None:
-        n = spec.resolve_length(source_length)
-    m = np.arange(spec.M) if streams is None else np.asarray(streams)
-    idx = spec.u * np.arange(n) + spec.s * m[:, None]
-    return idx % source_length if spec.wrap else idx
+    n = spec.resolve_length(a.size)
+    span = spec.span(n)
+    if a.size < span:
+        a = np.resize(a, span)
+    view = np.ndarray((spec.M, n), a.dtype, a, 0,
+                      (spec.s * a.itemsize, spec.u * a.itemsize))
+    view.flags.writeable = writeable
+    return view
 
 
 def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
     """Pull the M decimated, shifted sub-streams out of ``x``.
 
-    Stream m, index l holds x[u*l + m*s] (see :func:`stream_indices`). Each
-    stream records its shift as ``origin_index``.
+    Stream m, index l holds x[u*l + m*s] (see :func:`stream_view`), copied
+    out of ``x``. Each stream records its shift as ``origin_index``.
 
     Raises:
         IndexBudgetExceeded: a requested sample would fall past the end of
             ``x`` and wrapping is off.
     """
-    rows = x.samples[stream_indices(spec, len(x))]
+    rows = np.array(stream_view(x.samples, spec))
     return StreamSet(streams=tuple(
         ComplexSignal(samples=row, rate_hz=x.rate_hz / spec.u,
                       origin_index=m * spec.s)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .aliasing import circular_distance_hz
-from .core import ComplexSignal, StreamSpec, stream_indices
+from .core import ComplexSignal, StreamSpec, stream_view
 from .pipeline import (
     HybridConfig,
     RecoveredComponent,
@@ -239,9 +239,8 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
         report = evaluate(spec, hybrid, tol_hz=0.5)
 
         n = hybrid.diagnostics["stream_length"]
-        idx = stream_indices(StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n),
-                             len(x))
-        spectra = np.fft.fft(x.samples[idx], axis=1)
+        spectra = np.fft.fft(stream_view(
+            x.samples, StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n)), axis=1)
         _write_streams_csv(run_dir / "streams.csv", spectra,
                            x.rate_hz / cfg.u / n)
         _write_spectra_csv(run_dir / "spectrum.csv", hybrid, dense)

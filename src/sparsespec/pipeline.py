@@ -1,13 +1,15 @@
 """End-to-end sparse estimation from shifted undersampled streams.
 
-``analyze`` runs the whole chain: one stream gather, one FFT of the
-reference stream, peak picking on it, peak-bin DFTs of the shifted streams,
-collision-order estimation and pencil decomposition per peak bin, ambiguity
-resolution against the coprime shift step, and a final merge onto the fine
-grid. With the shortcut, one K-sample Vandermonde solve stands in for the
-peak-bin DFTs of all shifted streams; when its node matrix is too
-ill-conditioned, too large or its SVD fails, all of them fall back to the
-DFTs at once.
+``analyze`` runs the whole chain: one stream gather through a strided
+view of the record (of its periodic extension when a wrapping plan runs
+past the end), one FFT of the reference stream, peak picking on it,
+peak-bin DFTs of the shifted streams, collision-order estimation and pencil
+decomposition per peak bin, ambiguity resolution against the coprime shift
+step, and a final merge onto the fine grid. The samples read are marked
+through the same view in a boolean mask. With the shortcut, one K-sample
+Vandermonde solve stands in for the peak-bin DFTs of all shifted streams;
+when its node matrix is too ill-conditioned, too large or its SVD fails,
+all of them fall back to the DFTs at once.
 
 ``dense_reference`` is the brute-force single-DFT estimator used for
 oracle comparisons and budget studies.
@@ -44,7 +46,7 @@ from .core import (
     dft_at,
     extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
     select_peaks,
-    stream_indices,
+    stream_view,
 )
 from .errors import (
     BadShape,
@@ -183,8 +185,8 @@ def shifted_coeffs_shortcut(
         NoConvergence: the node-matrix SVD failed; callers fall back too.
     """
     streams = np.asarray(m, dtype=np.int64).reshape(-1)
-    if np.any(streams < 1):
-        raise ValueError("shortcut applies to shifted streams (m >= 1)")
+    if np.any((streams < 1) | (streams >= spec.M)):
+        raise ValueError("shortcut applies to shifted streams 1..M-1")
     n = spec.resolve_length(len(x))
     bins = list(peaks.bin_indices())
     k = len(bins)
@@ -194,7 +196,7 @@ def shifted_coeffs_shortcut(
     if k == 0:
         values, cond = np.zeros((streams.size, 0), dtype=np.complex128), 1.0
     else:
-        rhs = x.samples[stream_indices(spec, len(x), streams, n=k)].T
+        rhs = stream_view(x.samples, spec)[streams, :k].T
         nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
         vand = nodes[None, :] ** np.arange(k)[:, None]
         _, sv, _ = svd_small(vand)
@@ -259,17 +261,20 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     pinned = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n, wrap=cfg.wrap)
     rate = x.rate_hz
     fine_res = rate / (cfg.u * n)
-    read = np.zeros(len(x), dtype=bool)
+    # The read mask covers whole periods of the record, so a wrapping plan
+    # marks its periodic extension, folded back onto the record at the end.
+    read = np.zeros(-(-pinned.span(n) // len(x)) * len(x), dtype=bool)
+    marks = stream_view(read, pinned, writeable=True)
+    streams = stream_view(x.samples, pinned)
     shortcut_conds: list[float] = []
     shortcut_fallbacks = 0
 
-    # All M streams in one gather (the shortcut reads only stream 0 in
-    # full). Peak picking needs the whole reference spectrum; the shifted
-    # streams are only needed at the peak bins.
-    idx = stream_indices(pinned, len(x),
-                         [0] if cfg.shortcut_shifted else None)
-    read[idx] = True
-    rows = x.samples[idx]
+    # All M streams in one contiguous copy (the shortcut reads only stream 0
+    # in full; dft_at runs faster on it than on the view). Peak picking needs
+    # the whole reference spectrum, the shifted streams only the peak bins.
+    full = 1 if cfg.shortcut_shifted else cfg.M
+    marks[:full] = True
+    rows = np.array(streams[:full])
     reference = np.fft.fft(rows[0])
     peaks = select_peaks(Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
                          cfg.threshold * n)
@@ -290,14 +295,12 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             # One node matrix serves every shifted stream, so they all
             # fall back together to the full path below.
             shortcut_fallbacks = cfg.M - 1
-            idx = stream_indices(pinned, len(x))
-            read[idx] = True
-            rows = x.samples[idx]
+            marks[:] = True
+            rows = np.array(streams)
         else:
             shortcut_conds = [cond] * (cfg.M - 1)
             per_stream_samples[1:] = [len(peak_bins)] * (cfg.M - 1)
-            read[stream_indices(pinned, len(x), shifted,
-                                n=len(peak_bins))] = True
+            marks[1:, :len(peak_bins)] = True
     if len(rows) == cfg.M:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], peak_bins)
     sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
@@ -349,6 +352,8 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             # Components of the bin's earlier terms stay.
             report.update(error=type(exc).__name__, detail=str(exc))
 
+    if read.size > len(x):
+        read = read.reshape(-1, len(x)).any(0)
     components = _merge_components(components, fine_res / 2.0, rate)
     components.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))
 

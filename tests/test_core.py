@@ -19,6 +19,7 @@ from sparsespec import (
     idft,
     max_stream_length,
     select_peaks,
+    stream_view,
 )
 
 
@@ -224,9 +225,16 @@ class TestExtractStreams:
 
     def test_identity_decimation(self):
         x = make_signal(np.arange(8), rate=8.0)
-        got = extract_streams(x, StreamSpec(u=1, s=1, M=1, n=8))
+        spec = StreamSpec(u=1, s=1, M=1, n=8)
+        got = extract_streams(x, spec)
         assert np.array_equal(got.streams[0].samples, x.samples)
         assert got.streams[0].rate_hz == pytest.approx(8.0)
+        # The one row is contiguous, yet the stream is a copy, and the view
+        # it was read through cannot write to the record.
+        assert not np.shares_memory(got.streams[0].samples, x.samples)
+        view = stream_view(x.samples, spec)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
 
     def test_stream_rate_is_decimated(self):
         x = make_signal(np.arange(100), rate=1000.0)
@@ -242,6 +250,17 @@ class TestExtractStreams:
         x = make_signal(np.arange(10))
         got = extract_streams(x, StreamSpec(u=3, s=2, M=2, n=4, wrap=True))
         assert np.array_equal(got.streams[1].samples, [2, 5, 8, 1])
+        # Non-contiguous samples, and a wrap past twice the record.
+        base = np.arange(40) * (1 - 2j)
+        for samples, spec in (
+                (base[::2], StreamSpec(u=3, s=2, M=4)),
+                (base[::2], StreamSpec(u=7, s=3, M=5, n=9, wrap=True)),
+                (base[::-3], StreamSpec(u=2, s=5, M=3, n=20, wrap=True))):
+            got = extract_streams(make_signal(samples), spec)
+            n = spec.resolve_length(samples.size)
+            for m, stream in enumerate(got.streams):
+                idx = (spec.u * np.arange(n) + m * spec.s) % samples.size
+                assert np.array_equal(stream.samples, samples[idx])
 
     def test_non_coprime_rejected(self):
         with pytest.raises(NotCoprime):

@@ -33,33 +33,6 @@ from sparsespec import (
 from sparsespec.lab import experiment_1_config
 
 
-class CountingArray(np.ndarray):
-    """Array that records which flat indices have been read."""
-
-    def __new__(cls, base):
-        obj = np.asarray(base, dtype=np.complex128).view(cls)
-        obj.touched = set()
-        return obj
-
-    def __array_finalize__(self, obj):
-        self.touched = getattr(obj, "touched", set())
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            self.touched.add(int(key))
-        else:
-            flat = np.asarray(key).ravel()
-            if flat.dtype != bool:
-                self.touched.update(int(i) for i in flat)
-        return np.asarray(super().__getitem__(key))
-
-
-def counted(signal):
-    view = CountingArray(signal.samples)
-    object.__setattr__(signal, "samples", view)
-    return view
-
-
 def tone_signal(freqs_amps, rate, length):
     idx = np.arange(length)
     vals = np.zeros(length, dtype=np.complex128)
@@ -237,26 +210,58 @@ class TestAnalyze:
         assert len(failures) == len(res.diagnostics["peak_bins"]) > 0
         assert {f["error"] for f in failures} == {"NoConvergence"}
 
-    def test_sample_budget_counting_sampler(self):
-        rate = 100.0
-        x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
-        view = counted(x)
-        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("path", ["full", "shortcut", "fallback"])
+    def test_sample_budget_poisoned_outside_read_set(self, monkeypatch,
+                                                     path, wrap):
+        # Every sample outside the read set the diagnostics claim becomes
+        # NaN: reading any one of them would show in the output. The wrap
+        # plan runs past twice the record, onto samples its first pass
+        # skipped.
+        x = tone_signal([(30.0, 1.0), (70.0, 0.5j)], 100.0, 200)
+        cfg = HybridConfig(u=9, s=2, M=3, threshold=0.2, wrap=wrap,
+                           stream_len=50 if wrap else 20,
+                           shortcut_shifted=path != "full")
+        if path == "fallback":
+            def no_convergence(a):
+                raise NoConvergence("forced")
+
+            monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        clean = analyze(x, cfg)
+        d = clean.diagnostics
+        assert d["shortcut_fallbacks"] == (2 if path == "fallback" else 0)
+        assert [round(c.freq_hz, 6) for c in clean.components] == [30, 70]
+        read = np.concatenate([
+            cfg.u * np.arange(c) + m * cfg.s
+            for m, c in enumerate(d["per_stream_samples"])]) % len(x)
+        assert np.unique(read).size == d["samples_used"] < len(x)
+        poisoned = np.full(len(x), np.nan, dtype=np.complex128)
+        poisoned[read] = x.samples[read]
+        object.__setattr__(x, "samples", poisoned)
         res = analyze(x, cfg)
-        assert len(view.touched) <= 9 * 20
-        assert res.diagnostics["samples_used"] == len(view.touched)
+        assert repr(res.components) == repr(clean.components)
+        assert repr(res.diagnostics) == repr(clean.diagnostics)
+
+    def test_record_left_untouched(self):
+        x = tone_signal([(30.0, 1.0), (70.0, 0.5j)], 100.0, 200)
+        before = x.samples.copy()
+        for wrap in (False, True):
+            for shortcut in (False, True):
+                analyze(x, HybridConfig(u=9, s=2, M=3, threshold=0.2,
+                                        wrap=wrap, shortcut_shifted=shortcut,
+                                        stream_len=50 if wrap else 20))
+        assert x.samples.flags.writeable
+        assert x.samples.tobytes() == before.tobytes()
 
     def test_shortcut_touches_fewer_samples(self):
         rate = 100.0
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
         full = analyze(x, HybridConfig(u=5, s=2, M=9, threshold=0.2,
                                        stream_len=20))
-        y = tone_signal([(25.0, 1.0), (85.0, 0.5j)], rate, 200)
-        view = counted(y)
         cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20,
                            shortcut_shifted=True)
-        fast = analyze(y, cfg)
-        assert len(view.touched) < 9 * 20
+        fast = analyze(x, cfg)
+        assert fast.diagnostics["samples_used"] < 9 * 20
         for a, b in zip(full.components, fast.components):
             assert a.freq_hz == pytest.approx(b.freq_hz, abs=1e-6)
             assert a.amplitude == pytest.approx(b.amplitude, abs=1e-6)
@@ -349,9 +354,9 @@ class TestShortcut:
 
     def test_requires_shifted_stream(self):
         x = tone_signal([(2.0, 1.0)], 1000.0, 1000)
-        spec = StreamSpec(u=250, s=1, M=2, n=4)
+        spec = StreamSpec(u=250, s=1, M=12, n=4)
         peaks = PeakList(entries=((0, 1.0),))
-        for m in (0, [0, 1]):
+        for m in (0, [0, 1], 12, 40, 100, [1, 12]):
             with pytest.raises(ValueError):
                 shifted_coeffs_shortcut(x, peaks, spec, m)
 
