@@ -5,6 +5,10 @@ streams taken at a coprime (stride, shift) pair: aliased peaks are
 disambiguated by intersecting candidate frequency sets, and bins where
 several components collide are separated by small matrix-pencil
 decompositions of the per-stream coefficient sequence.
+
+The experiment names of ``sparsespec.lab`` are exported too, but that module
+loads on first use of one of them, so importing the estimator or
+``sparsespec.fileio`` does not import the experiments.
 """
 from .aliasing import (
     BezoutPair,
@@ -22,6 +26,8 @@ from .core import (
     Spectrum,
     StreamSet,
     StreamSpec,
+    SynthSpec,
+    ToneSpec,
     circular_shift,
     dft,
     dft_at,
@@ -31,6 +37,7 @@ from .core import (
     max_stream_length,
     select_peaks,
     stream_view,
+    synthesize,
 )
 from .errors import (
     BadShape,
@@ -44,23 +51,6 @@ from .errors import (
     NotCoprime,
     NoUniqueIntersection,
     SparseSpecError,
-)
-from .lab import (
-    EXPERIMENT_1_TONES,
-    EXPERIMENT_2_MUS,
-    EXPERIMENT_2_REFERENCE_SAMPLES,
-    EvalReport,
-    SynthSpec,
-    ToneSpec,
-    evaluate,
-    experiment_1_config,
-    experiment_1_spec,
-    experiment_2_config,
-    experiment_2_spec,
-    run_experiment_1,
-    run_experiment_2,
-    run_selftest,
-    synthesize,
 )
 from .pipeline import (
     HybridConfig,
@@ -149,3 +139,11 @@ __all__ = [
     "svd_small",
     "synthesize",
 ]
+
+
+def __getattr__(name):
+    # Only the lab names of __all__ are not bound above.
+    if name in __all__:
+        from . import lab
+        return getattr(lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import dft
+from .core import dft, synthesize
 from .errors import (
     IllConditionedPencil,
     IllConditionedVandermonde,
@@ -33,7 +33,7 @@ from .fileio import (
     write_signal_raw64,
     write_spectrum_csv,
 )
-from .lab import run_experiment_1, run_experiment_2, run_selftest, synthesize
+from .lab import run_experiment_1, run_experiment_2, run_selftest
 from .pipeline import HybridConfig, analyze, dense_reference
 
 EXIT_OK = 0
@@ -100,9 +100,11 @@ def _build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", help="reproduce an experiment run")
     p_exp.add_argument("--id", type=int, choices=(1, 2), required=True)
     p_exp.add_argument("--out-dir", required=True, dest="out_dir")
-    p_exp.add_argument("--M", type=int, default=28, choices=(8, 16, 28))
+    p_exp.add_argument("--M", type=int, default=None, choices=(8, 16, 28),
+                       help="stream count, experiment 2 only (default 28)")
     p_exp.add_argument("--snr", type=float, default=None,
-                       help="SNR in dB (omit for noise-free)")
+                       help="SNR in dB, experiment 2 only (omit for "
+                            "noise-free); experiment 1 runs at 30 dB")
     p_exp.add_argument("--seed", type=int, default=0)
 
     p_self = sub.add_parser("selftest", help="noise-free oracle equivalence "
@@ -178,10 +180,10 @@ def _cmd_experiment(args) -> int:
                            for r in results.values())
         print(f"experiment 1 done: recalls {recalls} -> {args.out_dir}")
     else:
-        result = run_experiment_2(args.M, args.snr, args.out_dir,
-                                  seed=args.seed)
+        M = 28 if args.M is None else args.M
+        result = run_experiment_2(M, args.snr, args.out_dir, seed=args.seed)
         rep = result["eval"]
-        print(f"experiment 2 done: M={args.M} recall={rep.recall:.3f} "
+        print(f"experiment 2 done: M={M} recall={rep.recall:.3f} "
               f"samples={result['hybrid'].diagnostics['samples_used']} "
               f"-> {args.out_dir}")
     return EXIT_OK
@@ -201,6 +203,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.command == "experiment" and args.id == 1
+                and (args.M, args.snr) != (None, None)):
+            parser.error("--M and --snr apply to experiment 2 only")
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"sparsespec: error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
-"""Complex signal containers, DFT/IDFT kernels, stream extraction and peak picking.
+"""Complex signal containers and synthesis, DFT/IDFT kernels, stream
+extraction and peak picking.
 
 A signal lives on a uniform grid at ``rate_hz``. Decimating by a stride ``u``
 and shifting the start by multiples of ``s`` grid samples produces the short
 sub-streams the rest of the pipeline works on. Stream m, sample l is
 x[u*l + m*s], so :func:`stream_view` reads all M streams as one strided view
 of the record, with no index array; a wrapping plan that runs past the end
-reads the record's periodic extension instead.
+reads the record's periodic extension instead. :func:`synthesize` builds
+a test signal from a :class:`SynthSpec` of tones and a noise level.
 """
 from __future__ import annotations
 
@@ -53,6 +55,39 @@ class ComplexSignal:
 
     def __len__(self) -> int:
         return self.samples.size
+
+
+@dataclass(frozen=True)
+class ToneSpec:
+    """One complex tone: frequency mu (Hz) and complex amplitude."""
+
+    mu_hz: float
+    amplitude: complex
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mu_hz)
+                and math.isfinite(abs(self.amplitude))):
+            raise ValueError("tone parameters must be finite")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Recipe for a synthetic record; same seed, same bytes out."""
+
+    tones: tuple[ToneSpec, ...]
+    rate_hz: float
+    length: int
+    snr_db: float | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "tones", tuple(self.tones))
+        if self.snr_db is not None:  # a manifest writes it as a float
+            object.__setattr__(self, "snr_db", float(self.snr_db))
+        if self.length < 1:
+            raise ValueError("length must be at least 1")
+        if self.rate_hz <= 0:
+            raise ValueError("rate_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,6 +181,30 @@ class PeakList:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def synthesize(spec: SynthSpec) -> ComplexSignal:
+    """Sum of tones x_l = sum_i alpha_i exp(2i pi mu_i l / R), plus noise.
+
+    With snr_db set, circular complex Gaussian noise is added with total
+    variance sigma^2 = (mean clean power) / 10^(snr_db/10), split evenly
+    between real and imaginary parts.
+    """
+    l = np.arange(spec.length)
+    x = np.zeros(spec.length, dtype=np.complex128)
+    for tone in spec.tones:
+        x += tone.amplitude * np.exp(
+            2j * np.pi * tone.mu_hz * l / spec.rate_hz)
+    if spec.snr_db is not None:
+        power = float(np.mean(np.abs(x) ** 2))
+        if power > 0:
+            sigma2 = power / (10.0 ** (spec.snr_db / 10.0))
+            rng = np.random.default_rng(spec.seed)
+            scale = math.sqrt(sigma2 / 2.0)
+            noise = rng.standard_normal(spec.length) \
+                + 1j * rng.standard_normal(spec.length)
+            x = x + scale * noise
+    return ComplexSignal(samples=x, rate_hz=spec.rate_hz)
 
 
 def max_stream_length(source_length: int, u: int, s: int, M: int) -> int:

@@ -1,8 +1,13 @@
-"""File formats: signal CSV / raw64, spectrum and component CSV, and flat
-key = value config and synthesis files.
+"""File formats: signal CSV / raw64, spectrum and component CSV, flat
+key = value config and synthesis files, and the tables and manifests the
+experiments write.
 
-Floats are written with repr() so outputs are byte-stable across runs and
-platforms for identical inputs.
+Every text file goes through one cell formatter: floats by repr(), so
+outputs are byte-stable across runs and platforms for identical inputs,
+integers in decimal, strings as they are, None as ``none`` and booleans as
+``true``/``false``. ``write_table`` writes CSV tables and
+``write_key_values`` ``key = value`` files; the signal CSV keeps its own
+single pass over the samples for speed.
 """
 from __future__ import annotations
 
@@ -13,16 +18,38 @@ from types import NoneType
 
 import numpy as np
 
-from .core import ComplexSignal, Spectrum
-from .lab import SynthSpec, ToneSpec
+from .core import ComplexSignal, Spectrum, SynthSpec, ToneSpec
 from .pipeline import RecoveredComponent, HybridConfig, SparseSpectrum
 
 COMPONENT_HEADER = ("freq_hz,re,im,magnitude,source_bin,collision_order,"
                     "match_distance_hz,residual")
 
 
-def _fmt(value: float) -> str:
+def _cell(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    if isinstance(value, str):
+        return value
     return repr(float(value))
+
+
+def _write_lines(path: str | Path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_table(path: str | Path, header, rows) -> None:
+    """CSV: the ``header`` names, then one line of cells per row."""
+    _write_lines(path, [",".join(header),
+                        *(",".join(map(_cell, row)) for row in rows)])
+
+
+def write_key_values(path: str | Path, entries) -> None:
+    """One ``key = value`` line per (key, value) entry, in order."""
+    _write_lines(path, [f"{key} = {_cell(value)}" for key, value in entries])
 
 
 class FileFormatError(ValueError):
@@ -79,10 +106,11 @@ def read_signal_csv(path: str | Path, rate_hz: float) -> ComplexSignal:
 
 
 def write_signal_csv(path: str | Path, x: ComplexSignal) -> None:
-    lines = ["re,im"]
-    for v in x.samples:
-        lines.append(f"{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Each sample's cells as _cell writes floats, in one pass: a signal has
+    # far more rows than any table.
+    _write_lines(path, ["re,im", *map("{!r},{!r}".format,
+                                      x.samples.real.tolist(),
+                                      x.samples.imag.tolist())])
 
 
 def read_signal_raw64(path: str | Path, rate_hz: float) -> ComplexSignal:
@@ -101,23 +129,16 @@ def write_signal_raw64(path: str | Path, x: ComplexSignal) -> None:
 
 
 def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> None:
-    lines = ["bin_index,freq_hz,re,im,magnitude"]
-    for j, v in enumerate(spectrum.bins):
-        lines.append(",".join([
-            str(j), _fmt(j * spectrum.bin_hz), _fmt(v.real), _fmt(v.imag),
-            _fmt(abs(v))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, ("bin_index", "freq_hz", "re", "im", "magnitude"), [
+        (j, j * spectrum.bin_hz, v.real, v.imag, abs(v))
+        for j, v in enumerate(spectrum.bins)])
 
 
 def write_components_csv(path: str | Path, result: SparseSpectrum) -> None:
-    lines = [COMPONENT_HEADER]
-    for c in result.components:
-        lines.append(",".join([
-            _fmt(c.freq_hz), _fmt(c.amplitude.real), _fmt(c.amplitude.imag),
-            _fmt(abs(c.amplitude)), str(c.source_bin),
-            str(c.collision_order), _fmt(c.match_distance_hz),
-            _fmt(c.residual)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, COMPONENT_HEADER.split(","), [
+        (c.freq_hz, c.amplitude.real, c.amplitude.imag, abs(c.amplitude),
+         c.source_bin, c.collision_order, c.match_distance_hz, c.residual)
+        for c in result.components])
 
 
 def read_components_csv(path: str | Path) -> list[RecoveredComponent]:
@@ -168,107 +189,86 @@ def _parse_bool(value: str) -> bool:
 _PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
 
 
-def _config_schema() -> dict[str, tuple[type, bool]]:
-    """Each HybridConfig field's value type and whether it accepts None."""
-    hints = typing.get_type_hints(HybridConfig)
+def _field_schema(cls) -> dict[str, tuple[type, bool, bool]]:
+    """Each scalar field of dataclass ``cls``: its value type, whether it
+    accepts None and whether it is required. Other fields
+    (``SynthSpec.tones``) are left out."""
+    hints = typing.get_type_hints(cls)
     schema = {}
-    for f in fields(HybridConfig):
+    for f in fields(cls):
         kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
         base = next(k for k in kinds if k is not NoneType)
-        schema[f.name] = (base, NoneType in kinds)
+        if base in _PARSERS:
+            schema[f.name] = (base, NoneType in kinds, f.default is MISSING)
     return schema
 
 
-_CONFIG_SCHEMA = _config_schema()
-REQUIRED_CONFIG_KEYS = tuple(f.name for f in fields(HybridConfig)
-                             if f.default is MISSING)
+_CONFIG_SCHEMA = _field_schema(HybridConfig)
+REQUIRED_CONFIG_KEYS = tuple(k for k, v in _CONFIG_SCHEMA.items() if v[2])
+_SYNTH_SCHEMA = _field_schema(SynthSpec)
+
+
+def _read_fields(path: str | Path, schema, **repeated) -> dict:
+    """Values of a ``key = value`` file. A key of ``schema`` takes one value
+    of its field's type, or ``none`` where the field is optional; a key of
+    ``repeated`` may recur, and its values are parsed by its function into
+    a list."""
+    values: dict = {}
+    for key, value in _parse_kv_lines(path):
+        if key not in schema and key not in repeated:
+            raise FileFormatError(f"{path}: unknown config key {key!r}")
+        try:
+            if key in repeated:
+                values.setdefault(key, []).append(repeated[key](value))
+            else:
+                kind, optional, _ = schema[key]
+                values[key] = (None if optional and value.lower() == "none"
+                               else _PARSERS[kind](value))
+        except ValueError as exc:
+            raise FileFormatError(
+                f"{path}: bad value for {key}: {value!r}") from exc
+    for key, (_, _, required) in schema.items():
+        if required and key not in values:
+            raise FileFormatError(f"{path}: missing required key {key}")
+    return values
+
+
+def _field_entries(obj, schema) -> list[tuple[str, object]]:
+    """(key, value) for each schema field of ``obj``, the value cast to the
+    field's type, so that an int given for a float field is written as a
+    float."""
+    entries = []
+    for key, (kind, _, _) in schema.items():
+        value = getattr(obj, key)
+        entries.append((key, value if value is None else kind(value)))
+    return entries
 
 
 def read_config(path: str | Path) -> HybridConfig:
     """Parse a flat ``key = value`` config whose keys, value types and
     required keys are those of the HybridConfig fields. An optional field
     takes the value ``none``."""
-    values: dict = {}
-    for key, value in _parse_kv_lines(path):
-        if key not in _CONFIG_SCHEMA:
-            raise FileFormatError(f"{path}: unknown config key {key!r}")
-        kind, optional = _CONFIG_SCHEMA[key]
-        try:
-            values[key] = (None if optional and value.lower() == "none"
-                           else _PARSERS[kind](value))
-        except ValueError as exc:
-            raise FileFormatError(
-                f"{path}: bad value for {key}: {value!r}") from exc
-    for required in REQUIRED_CONFIG_KEYS:
-        if required not in values:
-            raise FileFormatError(f"{path}: missing required key {required}")
-    return HybridConfig(**values)
+    return HybridConfig(**_read_fields(path, _CONFIG_SCHEMA))
 
 
 def write_config(path: str | Path, cfg: HybridConfig) -> None:
-    lines = []
-    for key, (kind, _) in _CONFIG_SCHEMA.items():
-        value = getattr(cfg, key)
-        if value is None:
-            text = "none"
-        elif kind is bool:
-            text = "true" if value else "false"
-        elif kind is float:
-            text = _fmt(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_key_values(path, _field_entries(cfg, _CONFIG_SCHEMA))
+
+
+def _parse_tone(value: str) -> ToneSpec:
+    mu, real, imag = (float(cell) for cell in value.split(","))
+    return ToneSpec(mu_hz=mu, amplitude=complex(real, imag))
 
 
 def read_synth_spec(path: str | Path) -> SynthSpec:
-    """Parse a synthesis file: rate_hz, length, optional snr_db and seed,
-    plus repeated ``tone = mu,re,im`` lines."""
-    rate = None
-    length = None
-    snr: float | None = None
-    seed = 0
-    tones: list[ToneSpec] = []
-    for key, value in _parse_kv_lines(path):
-        try:
-            if key == "rate_hz":
-                rate = float(value)
-            elif key == "length":
-                length = int(value)
-            elif key == "snr_db":
-                snr = None if value.lower() == "none" else float(value)
-            elif key == "seed":
-                seed = int(value)
-            elif key == "tone":
-                cells = value.split(",")
-                if len(cells) != 3:
-                    raise FileFormatError(
-                        f"{path}: tone needs mu,re,im: {value!r}")
-                tones.append(ToneSpec(
-                    mu_hz=float(cells[0]),
-                    amplitude=complex(float(cells[1]), float(cells[2]))))
-            else:
-                raise FileFormatError(f"{path}: unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, FileFormatError):
-                raise
-            raise FileFormatError(
-                f"{path}: bad value for {key}: {value!r}") from exc
-    if rate is None or length is None:
-        raise FileFormatError(f"{path}: rate_hz and length are required")
-    return SynthSpec(tones=tuple(tones), rate_hz=rate, length=length,
-                     snr_db=snr, seed=seed)
+    """Parse a synthesis file: the SynthSpec fields rate_hz, length and the
+    optional snr_db and seed, read like a config, plus repeated
+    ``tone = mu,re,im`` lines."""
+    values = _read_fields(path, _SYNTH_SCHEMA, tone=_parse_tone)
+    return SynthSpec(tones=tuple(values.pop("tone", ())), **values)
 
 
 def write_synth_spec(path: str | Path, spec: SynthSpec) -> None:
-    lines = [
-        f"rate_hz = {_fmt(spec.rate_hz)}",
-        f"length = {spec.length}",
-        f"snr_db = {'none' if spec.snr_db is None else _fmt(spec.snr_db)}",
-        f"seed = {spec.seed}",
-    ]
-    for tone in spec.tones:
-        lines.append(f"tone = {_fmt(tone.mu_hz)},"
-                     f"{_fmt(tone.amplitude.real)},"
-                     f"{_fmt(tone.amplitude.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    tones = [("tone", ",".join(_cell(float(v)) for v in (
+        t.mu_hz, t.amplitude.real, t.amplitude.imag))) for t in spec.tones]
+    write_key_values(path, _field_entries(spec, _SYNTH_SCHEMA) + tones)

@@ -1,9 +1,12 @@
-"""Synthetic signals, recovery metrics, and reproducible experiment runs.
+"""Recovery metrics, reproducible experiment runs and the oracle selftest.
 
-Signals are sums of complex tones with optional calibrated circular Gaussian
-noise. The experiment runners write per-run directories of CSV panels (short
-DFT magnitudes, recovered vs dense spectra, per-bin coefficient sequences)
-plus a plain-text manifest, so results can be plotted and diffed externally.
+The experiments synthesise their records with :func:`core.synthesize`
+(re-exported here with ``ToneSpec`` and ``SynthSpec``). Their runners write
+per-run directories of CSV panels (short DFT magnitudes, recovered vs dense
+spectra, per-bin coefficient sequences) plus a plain-text manifest, all
+through the ``fileio`` writers, so results can be plotted and diffed
+externally. They read what ``analyze`` reports and repeat none of its work
+except the full stream spectra of experiment 1's panels.
 """
 from __future__ import annotations
 
@@ -14,16 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .aliasing import circular_distance_hz
-from .core import ComplexSignal, StreamSpec, stream_view
+from .core import StreamSpec, SynthSpec, ToneSpec, stream_view, synthesize
+from .fileio import write_key_values, write_table
 from .pipeline import (
     HybridConfig,
     RecoveredComponent,
     SparseSpectrum,
     analyze,
-    build_prony_sequences,
     dense_reference,
 )
-from .prony import estimate_order
 
 EXPERIMENT_1_TONES = (
     ((125.0, 1.0 + 0.0j),),
@@ -37,37 +39,6 @@ EXPERIMENT_2_REFERENCE_SAMPLES = 12824
 
 
 @dataclass(frozen=True)
-class ToneSpec:
-    """One complex tone: frequency mu (Hz) and complex amplitude."""
-
-    mu_hz: float
-    amplitude: complex
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu_hz)
-                and math.isfinite(abs(self.amplitude))):
-            raise ValueError("tone parameters must be finite")
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Recipe for a synthetic record; same seed, same bytes out."""
-
-    tones: tuple[ToneSpec, ...]
-    rate_hz: float
-    length: int
-    snr_db: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "tones", tuple(self.tones))
-        if self.length < 1:
-            raise ValueError("length must be at least 1")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Greedy matching of recovered components against true tones."""
 
@@ -76,30 +47,6 @@ class EvalReport:
     spurious: tuple[RecoveredComponent, ...]
     precision: float
     recall: float
-
-
-def synthesize(spec: SynthSpec) -> ComplexSignal:
-    """Sum of tones x_l = sum_i alpha_i exp(2i pi mu_i l / R), plus noise.
-
-    With snr_db set, circular complex Gaussian noise is added with total
-    variance sigma^2 = (mean clean power) / 10^(snr_db/10), split evenly
-    between real and imaginary parts.
-    """
-    l = np.arange(spec.length)
-    x = np.zeros(spec.length, dtype=np.complex128)
-    for tone in spec.tones:
-        x += tone.amplitude * np.exp(
-            2j * np.pi * tone.mu_hz * l / spec.rate_hz)
-    if spec.snr_db is not None:
-        power = float(np.mean(np.abs(x) ** 2))
-        if power > 0:
-            sigma2 = power / (10.0 ** (spec.snr_db / 10.0))
-            rng = np.random.default_rng(spec.seed)
-            scale = math.sqrt(sigma2 / 2.0)
-            noise = rng.standard_normal(spec.length) \
-                + 1j * rng.standard_normal(spec.length)
-            x = x + scale * noise
-    return ComplexSignal(samples=x, rate_hz=spec.rate_hz)
 
 
 def evaluate(truth: SynthSpec, result: SparseSpectrum,
@@ -135,74 +82,47 @@ def evaluate(truth: SynthSpec, result: SparseSpectrum,
                       spurious=spurious, precision=precision, recall=recall)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+_SPECTRUM_COLUMNS = ("freq_hz", "re", "im", "magnitude")
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _cells(freq_hz: float, amplitude: complex) -> tuple:
+    return (freq_hz, amplitude.real, amplitude.imag, abs(amplitude))
 
 
-def _write_manifest(path: Path, entries: list[tuple[str, object]]) -> None:
-    _write_lines(path, [f"{key} = {value}" for key, value in entries])
+def _write_spectra_and_eval(out: Path, hybrid: SparseSpectrum,
+                            dense: SparseSpectrum, report: EvalReport) -> None:
+    """spectrum.csv (hybrid then dense components) and eval.csv (matched,
+    missed, then spurious rows; cells that do not apply are empty)."""
+    write_table(out / "spectrum.csv", ("source", *_SPECTRUM_COLUMNS), [
+        (label, *_cells(c.freq_hz, c.amplitude))
+        for label, result in (("hybrid", hybrid), ("dense", dense))
+        for c in result.components])
+    blank = ("", "", "")
+    rows = [("matched", *_cells(t.mu_hz, t.amplitude)[:3],
+             *_cells(c.freq_hz, c.amplitude)[:3], ferr, aerr)
+            for t, c, ferr, aerr in report.matched]
+    rows += [("missed", *_cells(t.mu_hz, t.amplitude)[:3], *blank, "", "")
+             for t in report.missed]
+    rows += [("spurious", *blank, *_cells(c.freq_hz, c.amplitude)[:3], "", "")
+             for c in report.spurious]
+    write_table(out / "eval.csv", (
+        "status", "true_mu_hz", "true_re", "true_im", "rec_freq_hz",
+        "rec_re", "rec_im", "freq_err_hz", "amp_err"), rows)
 
 
-def _spectrum_rows(label: str, comps) -> list[str]:
-    rows = []
-    for c in comps:
-        rows.append(",".join([
-            label, _fmt(c.freq_hz), _fmt(c.amplitude.real),
-            _fmt(c.amplitude.imag), _fmt(abs(c.amplitude))]))
-    return rows
-
-
-def _write_spectra_csv(path: Path, hybrid: SparseSpectrum,
-                       dense: SparseSpectrum) -> None:
-    lines = ["source,freq_hz,re,im,magnitude"]
-    lines += _spectrum_rows("hybrid", hybrid.components)
-    lines += _spectrum_rows("dense", dense.components)
-    _write_lines(path, lines)
-
-
-def _write_streams_csv(path: Path, spectra: np.ndarray,
-                       bin_hz: float) -> None:
-    header = "bin_index,freq_hz," + ",".join(
-        f"mag_{m}" for m in range(len(spectra)))
-    lines = [header]
-    for b in range(spectra.shape[1]):
-        cells = [str(b), _fmt(b * bin_hz)]
-        cells += [_fmt(abs(v)) for v in spectra[:, b]]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
-
-
-def _write_prony_csv(path: Path, seq, sigma) -> None:
-    lines = ["index,p_re,p_im,p_abs,sigma"]
-    for i, val in enumerate(seq.values):
-        cells = [str(i), _fmt(val.real), _fmt(val.imag), _fmt(abs(val))]
-        cells.append(_fmt(sigma[i]) if i < len(sigma) else "")
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
-
-
-def _write_eval_csv(path: Path, report: EvalReport) -> None:
-    lines = ["status,true_mu_hz,true_re,true_im,"
-             "rec_freq_hz,rec_re,rec_im,freq_err_hz,amp_err"]
-    for tone, comp, ferr, aerr in report.matched:
-        lines.append(",".join([
-            "matched", _fmt(tone.mu_hz), _fmt(tone.amplitude.real),
-            _fmt(tone.amplitude.imag), _fmt(comp.freq_hz),
-            _fmt(comp.amplitude.real), _fmt(comp.amplitude.imag),
-            _fmt(ferr), _fmt(aerr)]))
-    for tone in report.missed:
-        lines.append(",".join([
-            "missed", _fmt(tone.mu_hz), _fmt(tone.amplitude.real),
-            _fmt(tone.amplitude.imag), "", "", "", "", ""]))
-    for comp in report.spurious:
-        lines.append(",".join([
-            "spurious", "", "", "", _fmt(comp.freq_hz),
-            _fmt(comp.amplitude.real), _fmt(comp.amplitude.imag), "", ""]))
-    _write_lines(path, lines)
+def _manifest(spec: SynthSpec, cfg: HybridConfig, hybrid: SparseSpectrum,
+              report: EvalReport, *budget: tuple[str, object]) -> list:
+    """Both experiments' manifest entries, ``budget`` before the outcome."""
+    d = hybrid.diagnostics
+    return [("seed", spec.seed), ("rate_hz", spec.rate_hz),
+            ("length", spec.length), ("snr_db", spec.snr_db),
+            ("u", cfg.u), ("s", cfg.s), ("M", cfg.M),
+            ("threshold", cfg.threshold),
+            ("stream_length", d["stream_length"]),
+            ("samples_used", d["samples_used"]), *budget,
+            ("components", len(hybrid.components)),
+            ("noise_sigma", d["noise_sigma"]),
+            ("recall", report.recall), ("precision", report.precision)]
 
 
 def experiment_1_spec(signal_index: int, seed: int = 0,
@@ -224,7 +144,8 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
     All three tones alias onto the stream bin at 5 Hz; the runs show the
     collision being detected (order 1, 2, 3) and resolved. One directory
     per signal: config.txt, streams.csv, spectrum.csv, prony_<bin>.csv,
-    eval.csv.
+    eval.csv. The sigma column of prony_<bin>.csv holds the Hankel
+    singular values ``analyze`` counted that bin's order from.
     """
     out = Path(out_dir)
     cfg = experiment_1_config()
@@ -241,32 +162,23 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
         n = hybrid.diagnostics["stream_length"]
         spectra = np.fft.fft(stream_view(
             x.samples, StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n)), axis=1)
-        _write_streams_csv(run_dir / "streams.csv", spectra,
-                           x.rate_hz / cfg.u / n)
-        _write_spectra_csv(run_dir / "spectrum.csv", hybrid, dense)
-        _write_eval_csv(run_dir / "eval.csv", report)
-        bins = hybrid.diagnostics["peak_bins"]
-        sequences = build_prony_sequences(spectra[:, bins], bins, cfg.s)
-        for b, seq in sequences.items():
-            est = estimate_order(seq, hybrid.diagnostics["noise_sigma"])
-            _write_prony_csv(run_dir / f"prony_{b}.csv", seq,
-                             est.singular_values)
-        _write_manifest(run_dir / "config.txt", [
-            ("signal", k + 1),
-            ("seed", spec.seed),
-            ("rate_hz", _fmt(spec.rate_hz)),
-            ("length", spec.length),
-            ("snr_db", "none" if spec.snr_db is None else _fmt(spec.snr_db)),
-            ("u", cfg.u), ("s", cfg.s), ("M", cfg.M),
-            ("threshold", _fmt(cfg.threshold)),
-            ("stream_length", n),
-            ("samples_used", hybrid.diagnostics["samples_used"]),
-            ("resolution_hz", _fmt(hybrid.resolution_hz)),
-            ("components", len(hybrid.components)),
-            ("noise_sigma", _fmt(hybrid.diagnostics["noise_sigma"])),
-            ("recall", _fmt(report.recall)),
-            ("precision", _fmt(report.precision)),
-        ])
+        bin_hz = x.rate_hz / cfg.u / n
+        write_table(run_dir / "streams.csv", (
+            "bin_index", "freq_hz", *(f"mag_{m}" for m in range(cfg.M))), [
+            (b, b * bin_hz, *(abs(v) for v in spectra[:, b]))
+            for b in range(n)])
+        _write_spectra_and_eval(run_dir, hybrid, dense, report)
+        for entry in hybrid.diagnostics["bin_reports"]:
+            b, sigma = entry["bin"], entry["singular_values"]
+            write_table(run_dir / f"prony_{b}.csv",
+                        ("index", "p_re", "p_im", "p_abs", "sigma"),
+                        [(i, v.real, v.imag, abs(v),
+                          sigma[i] if i < len(sigma) else "")
+                         for i, v in enumerate(spectra[:, b])])
+        write_key_values(run_dir / "config.txt", [
+            ("signal", k + 1), *_manifest(
+                spec, cfg, hybrid, report,
+                ("resolution_hz", hybrid.resolution_hz))])
         results[f"signal{k + 1}"] = {
             "spec": spec, "hybrid": hybrid, "dense": dense, "eval": report,
             "dir": run_dir,
@@ -326,41 +238,25 @@ def run_experiment_2(M: int, snr_db: float | None, out_dir: str | Path,
     tol = 0.2 if snr_db is None else 0.4
     report = evaluate(spec, hybrid, tol_hz=tol)
 
-    _write_spectra_csv(out / "spectrum.csv", hybrid, dense)
-    _write_eval_csv(out / "eval.csv", report)
-    zoom_lines = ["window,center_hz,source,freq_hz,re,im,magnitude"]
+    _write_spectra_and_eval(out, hybrid, dense, report)
+    zoom = []
     for w, group in enumerate(_mu_clusters(EXPERIMENT_2_MUS)):
         center = sum(group) / len(group)
         for label, result in (("hybrid", hybrid), ("dense", dense)):
-            for c in result.components:
-                if abs(c.freq_hz - center) <= 2.0:
-                    zoom_lines.append(",".join([
-                        str(w), _fmt(center), label, _fmt(c.freq_hz),
-                        _fmt(c.amplitude.real), _fmt(c.amplitude.imag),
-                        _fmt(abs(c.amplitude))]))
-    _write_lines(out / "zoom.csv", zoom_lines)
+            zoom += [(w, center, label, *_cells(c.freq_hz, c.amplitude))
+                     for c in result.components
+                     if abs(c.freq_hz - center) <= 2.0]
+    write_table(out / "zoom.csv",
+                ("window", "center_hz", "source", *_SPECTRUM_COLUMNS), zoom)
 
-    n = hybrid.diagnostics["stream_length"]
     used = hybrid.diagnostics["samples_used"]
-    _write_manifest(out / "config.txt", [
-        ("seed", seed),
-        ("rate_hz", _fmt(spec.rate_hz)),
-        ("length", spec.length),
-        ("snr_db", "none" if snr_db is None else _fmt(snr_db)),
-        ("u", cfg.u), ("s", cfg.s), ("M", cfg.M),
-        ("threshold", _fmt(cfg.threshold)),
-        ("stream_length", n),
-        ("samples_used", used),
+    write_key_values(out / "config.txt", _manifest(
+        spec, cfg, hybrid, report,
         ("reference_sample_count", EXPERIMENT_2_REFERENCE_SAMPLES),
         ("dense_sample_count", spec.length),
-        ("effective_resolution_hz", _fmt(hybrid.resolution_hz)),
-        ("budget_dense_resolution_hz", _fmt(spec.rate_hz / used)),
-        ("full_dense_resolution_hz", _fmt(spec.rate_hz / spec.length)),
-        ("components", len(hybrid.components)),
-        ("noise_sigma", _fmt(hybrid.diagnostics["noise_sigma"])),
-        ("recall", _fmt(report.recall)),
-        ("precision", _fmt(report.precision)),
-    ])
+        ("effective_resolution_hz", hybrid.resolution_hz),
+        ("budget_dense_resolution_hz", spec.rate_hz / used),
+        ("full_dense_resolution_hz", spec.rate_hz / spec.length)))
     return {"spec": spec, "hybrid": hybrid, "dense": dense, "eval": report,
             "dir": out, "config": cfg}
 

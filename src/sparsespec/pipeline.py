@@ -87,8 +87,8 @@ class HybridConfig:
     ``PEAK_FLOOR_REL`` of the largest, ``estimate_order`` counts a bin's
     tones above the noise ``estimate_noise`` reads off the reference
     spectrum, pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit
-    circle, recoveries merge within half a fine bin, and ``resolve_match``
-    fixes the candidate-matching tolerances.
+    circle, recoveries merge within half a fine bin, and ``resolve_cycles``
+    fixes the alias-pairing tolerances.
     """
 
     u: int
@@ -315,7 +315,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         z_u = complex(np.exp(2j * np.pi * b / n))
         a_u = angle_cycles(z_u)
         report = {"bin": b, "rank": 0, "gap": math.inf, "kept": 0,
-                  "residual": 0.0, "error": None}
+                  "residual": 0.0, "error": None, "singular_values": []}
         bin_reports.append(report)
         try:
             if cfg.M == 2:
@@ -323,7 +323,8 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
                 terms = _two_sample_terms(seq)
             else:
                 est = estimate_order(seq, noise)
-                report.update(rank=est.rank, gap=est.gap_ratio)
+                report.update(rank=est.rank, gap=est.gap_ratio,
+                              singular_values=est.singular_values.tolist())
                 if est.rank == 0:
                     continue
                 terms = pencil_decompose(seq, min((cfg.M - 1) // 2, est.rank))

@@ -388,6 +388,24 @@ class TestExperimentCommand:
             assert (tmp_path / f"signal{k}" / "spectrum.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [["--snr", "10"], ["--M", "8"],
+                                       ["--snr", "10", "--M", "8"]])
+    def test_experiment_1_rejects_experiment_2_flags(self, tmp_path, capsys,
+                                                     flags):
+        # Experiment 1 runs at a fixed 30 dB and 12 streams.
+        assert cli.main(["experiment", "--id", "1", "--out-dir",
+                         str(tmp_path)] + flags) == 1
+        assert "experiment 2 only" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_experiment_2_defaults_to_28_streams(self, tmp_path, capsys):
+        assert cli.main(["experiment", "--id", "2", "--snr", "10",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert "M=28" in capsys.readouterr().out
+        manifest = (tmp_path / "config.txt").read_text().splitlines()
+        assert "M = 28" in manifest
+        assert "snr_db = 10.0" in manifest
+
 
 class TestConsoleScript:
     def test_entry_point_wiring(self, tmp_path):

@@ -1,9 +1,12 @@
 """CSV and raw binary signal formats, config and spec files."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from sparsespec import ComplexSignal, HybridConfig, NonFiniteSamples, \
-    SynthSpec, ToneSpec
+    RecoveredComponent, SparseSpectrum, SynthSpec, ToneSpec
 from sparsespec.fileio import (
     FileFormatError,
     read_components_csv,
@@ -223,3 +226,52 @@ class TestSynthSpecFiles:
                         "tone = 10.0,1.0\n")
         with pytest.raises(FileFormatError):
             read_synth_spec(path)
+
+
+class TestOutputBytes:
+    """Exact text of the shared cell formatter: floats by repr, ints in
+    decimal, None as none, booleans as true/false."""
+
+    def test_config_text(self, tmp_path):
+        cfg = HybridConfig(u=5, s=3, M=9, threshold=1, wrap=True,
+                           max_peaks=None)
+        path = tmp_path / "cfg.txt"
+        write_config(path, cfg)
+        assert path.read_text() == (
+            "u = 5\ns = 3\nM = 9\nthreshold = 1.0\nresolver = match\n"
+            "wrap = true\nshortcut_shifted = false\nstream_len = none\n"
+            "max_peaks = none\n")
+
+    def test_synth_spec_text(self, tmp_path):
+        spec = SynthSpec(tones=(ToneSpec(mu_hz=12.5,
+                                         amplitude=complex(1.0, -0.0)),),
+                         rate_hz=100, length=64, seed=4)
+        path = tmp_path / "spec.txt"
+        write_synth_spec(path, spec)
+        assert path.read_text() == (
+            "rate_hz = 100.0\nlength = 64\nsnr_db = none\nseed = 4\n"
+            "tone = 12.5,1.0,-0.0\n")
+
+    def test_components_row_text(self, tmp_path):
+        comp = RecoveredComponent(freq_hz=125.0, amplitude=0.5 - 0.25j,
+                                  source_bin=4, collision_order=2,
+                                  match_distance_hz=0.0, residual=1e-17)
+        result = SparseSpectrum(components=(comp,), config=None,
+                                rate_hz=1000.0, resolution_hz=1.25)
+        path = tmp_path / "comps.csv"
+        write_components_csv(path, result)
+        assert path.read_text().splitlines()[1] == \
+            "125.0,0.5,-0.25,0.5590169943749475,4,2,0.0,1e-17"
+
+    def test_signal_csv_text(self, tmp_path):
+        x = ComplexSignal(samples=[complex(1.0, -0.0), 0.1 + 2j],
+                          rate_hz=10.0)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, x)
+        assert path.read_text() == "re,im\n1.0,-0.0\n0.1,2.0\n"
+
+
+def test_fileio_does_not_import_lab():
+    code = ("import sys, sparsespec.fileio; "
+            "sys.exit('sparsespec.lab' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

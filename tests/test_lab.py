@@ -143,6 +143,22 @@ class TestExperimentRunners:
         manifest = (tmp_path / "signal3" / "config.txt").read_text()
         assert "samples_used = 192" in manifest
 
+    def test_experiment_1_sigma_column_is_analyze_singular_values(
+            self, tmp_path):
+        results = run_experiment_1(tmp_path, seed=0)
+        for k in range(1, 4):
+            (report,) = [r for r in
+                         results[f"signal{k}"]["hybrid"].diagnostics[
+                             "bin_reports"] if r["bin"] == 4]
+            lines = (tmp_path / f"signal{k}" / "prony_4.csv") \
+                .read_text().splitlines()
+            assert lines[0] == "index,p_re,p_im,p_abs,sigma"
+            sigma = [ln.split(",")[4] for ln in lines[1:]]
+            assert len(sigma) == 12
+            filled = [float(v) for v in sigma if v]
+            assert filled == report["singular_values"]
+            assert sigma[len(filled):] == [""] * (12 - len(filled))
+
     def test_experiment_1_config_is_pinned(self):
         cfg = experiment_1_config()
         assert (cfg.u, cfg.s, cfg.M) == (50, 17, 12)

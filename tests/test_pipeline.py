@@ -30,7 +30,7 @@ from sparsespec import (
     shifted_coeffs_shortcut,
     synthesize,
 )
-from sparsespec.lab import experiment_1_config
+from sparsespec.lab import experiment_1_config, experiment_1_spec
 
 
 def tone_signal(freqs_amps, rate, length):
@@ -477,6 +477,34 @@ class TestDiagnostics:
         # A noise-free on-grid record: the median bin holds rounding only.
         assert 0.0 <= d["noise_sigma"] < 1e-12
         assert res.resolution_hz == pytest.approx(rate / 100)
+
+    def test_singular_values_reported_per_bin(self):
+        # The rank is the count of Hankel singular values at or above both
+        # the noise edge 2 * sigma_hat * (sqrt(r) + sqrt(c)) of the r x c
+        # Hankel and 1e-8 of the largest.
+        cfg = experiment_1_config()
+        res = analyze(synthesize(experiment_1_spec(2, seed=3)), cfg)
+        d = res.diagnostics
+        r = (cfg.M + 1) // 2
+        edge = 2.0 * d["noise_sigma"] * (math.sqrt(r)
+                                         + math.sqrt(cfg.M - r + 1))
+        assert d["bin_reports"]
+        for report in d["bin_reports"]:
+            sigma = report["singular_values"]
+            assert len(sigma) == r
+            cut = max(edge, 1e-8 * sigma[0])
+            assert report["rank"] == sum(v >= cut for v in sigma)
+        ranks = {r["bin"]: r["rank"] for r in d["bin_reports"]}
+        assert ranks[4] == 3
+
+    def test_no_singular_values_without_order_estimate(self):
+        # Two streams fit the ratio P(1)/P(0); no Hankel is formed.
+        x = tone_signal([(5.0, 1.0)], 32.0, 33)
+        res = analyze(x, HybridConfig(u=1, s=1, M=2, threshold=0.3,
+                                      stream_len=32))
+        reports = res.diagnostics["bin_reports"]
+        assert reports
+        assert all(r["singular_values"] == [] for r in reports)
 
 
 class TestBatchedStreams:
