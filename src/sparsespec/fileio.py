@@ -208,22 +208,18 @@ REQUIRED_CONFIG_KEYS = tuple(k for k, v in _CONFIG_SCHEMA.items() if v[2])
 _SYNTH_SCHEMA = _field_schema(SynthSpec)
 
 
-def _read_fields(path: str | Path, schema, **repeated) -> dict:
-    """Values of a ``key = value`` file. A key of ``schema`` takes one value
-    of its field's type, or ``none`` where the field is optional; a key of
-    ``repeated`` may recur, and its values are parsed by its function into
-    a list."""
+def _read_fields(path: str | Path, pairs, schema) -> dict:
+    """Values of the ``key = value`` ``pairs`` read from ``path``. Each key
+    of ``schema`` takes one value of its field's type, or ``none`` where
+    the field is optional."""
     values: dict = {}
-    for key, value in _parse_kv_lines(path):
-        if key not in schema and key not in repeated:
-            raise FileFormatError(f"{path}: unknown config key {key!r}")
+    for key, value in pairs:
+        if key not in schema:
+            raise FileFormatError(f"{path}: unknown key {key!r}")
+        kind, optional, _ = schema[key]
         try:
-            if key in repeated:
-                values.setdefault(key, []).append(repeated[key](value))
-            else:
-                kind, optional, _ = schema[key]
-                values[key] = (None if optional and value.lower() == "none"
-                               else _PARSERS[kind](value))
+            values[key] = (None if optional and value.lower() == "none"
+                           else _PARSERS[kind](value))
         except ValueError as exc:
             raise FileFormatError(
                 f"{path}: bad value for {key}: {value!r}") from exc
@@ -248,24 +244,30 @@ def read_config(path: str | Path) -> HybridConfig:
     """Parse a flat ``key = value`` config whose keys, value types and
     required keys are those of the HybridConfig fields. An optional field
     takes the value ``none``."""
-    return HybridConfig(**_read_fields(path, _CONFIG_SCHEMA))
+    return HybridConfig(**_read_fields(path, _parse_kv_lines(path),
+                                       _CONFIG_SCHEMA))
 
 
 def write_config(path: str | Path, cfg: HybridConfig) -> None:
     write_key_values(path, _field_entries(cfg, _CONFIG_SCHEMA))
 
 
-def _parse_tone(value: str) -> ToneSpec:
-    mu, real, imag = (float(cell) for cell in value.split(","))
-    return ToneSpec(mu_hz=mu, amplitude=complex(real, imag))
-
-
 def read_synth_spec(path: str | Path) -> SynthSpec:
     """Parse a synthesis file: the SynthSpec fields rate_hz, length and the
     optional snr_db and seed, read like a config, plus repeated
     ``tone = mu,re,im`` lines."""
-    values = _read_fields(path, _SYNTH_SCHEMA, tone=_parse_tone)
-    return SynthSpec(tones=tuple(values.pop("tone", ())), **values)
+    pairs = _parse_kv_lines(path)
+    tones = []
+    for value in (v for k, v in pairs if k == "tone"):
+        try:
+            mu, real, imag = (float(cell) for cell in value.split(","))
+        except ValueError as exc:
+            raise FileFormatError(
+                f"{path}: bad value for tone: {value!r}") from exc
+        tones.append(ToneSpec(mu_hz=mu, amplitude=complex(real, imag)))
+    values = _read_fields(path, [p for p in pairs if p[0] != "tone"],
+                          _SYNTH_SCHEMA)
+    return SynthSpec(tones=tuple(tones), **values)
 
 
 def write_synth_spec(path: str | Path, spec: SynthSpec) -> None:

@@ -174,7 +174,8 @@ class TestAnalyze:
                          "--config", str(cfg),
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "unknown config key" in capsys.readouterr().err
+        key = line.partition(" ")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_missing_geometry_exit_two(self, tmp_path):
         sig = write_signal3(tmp_path)
