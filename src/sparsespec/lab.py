@@ -331,12 +331,7 @@ def run_selftest(trials: int = 200, seed: int = 0) -> dict:
     dense estimator's support and amplitudes on random small sparse
     instances, collisions included. Returns counts and failure records."""
     rng = np.random.default_rng(seed)
-    failures = []
-    ran = 0
-    for _ in range(trials):
-        outcome = _selftest_trial(rng)
-        ran += 1
-        if outcome is not None:
-            failures.append(outcome)
-    return {"trials": ran, "failures": failures,
-            "passed": ran - len(failures)}
+    outcomes = [_selftest_trial(rng) for _ in range(trials)]
+    failures = [o for o in outcomes if o is not None]
+    return {"trials": len(outcomes), "failures": failures,
+            "passed": len(outcomes) - len(failures)}
