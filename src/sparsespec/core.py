@@ -19,6 +19,7 @@ import numpy as np
 from .errors import IndexBudgetExceeded, NonFiniteSamples, NotCoprime
 
 PEAK_FLOOR_REL = 1e-12
+DFT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -236,25 +237,36 @@ def dft_direct(samples: np.ndarray) -> np.ndarray:
 def dft_at(rows: np.ndarray, bins) -> np.ndarray:
     """DFT of each row of ``rows`` (R x n) at ``bins`` (mod n) only, R x K.
 
-    Up to log2(n) bins, each coefficient is a direct sum against a twiddle
-    matrix built from two tables of about sqrt(n) entries per bin, with the
-    exponents reduced exactly in integers before ``exp``. The sum is an
-    ``einsum``, not a BLAS product, so its bits do not depend on the BLAS
-    thread count. Beyond log2(n) bins one batched FFT is cheaper, so the
-    twiddle matrix stays near n * log2(n) entries at most.
+    Up to log2(n) bins the sums are blocked BLAS products. Sample
+    l = q*h + j, with the block q = min(n, DFT_BLOCK), has the twiddle
+    hi[h] * lo[j], from two tables of q and ceil(n/q) entries per bin
+    whose exponents are reduced exactly in integers before ``exp``. One
+    stacked product applies ``lo`` to every block of q samples, one
+    ``einsum`` sums the blocks against ``hi``, and one small product adds
+    the last n mod q samples. No product sums over more than DFT_BLOCK
+    samples: OpenBLAS splits longer sums into pieces that depend on its
+    thread count, and the bits would too. Rows that are not column-major
+    (or a row slice of such) are copied to that layout first, because
+    BLAS rounds differently on different layouts; so the bits depend on
+    neither. Beyond log2(n) bins one batched FFT is cheaper.
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    n = rows.shape[1]
+    r, n = rows.shape
     b = np.asarray(bins, dtype=np.int64).reshape(-1, 1) % n
     if b.size > math.log2(n):
         return np.fft.fft(rows, axis=1)[:, b[:, 0]]
-    # Sample l = q*h + j with q*q >= n: exp(-2i pi l b / n) is
-    # tab[q + h] * tab[j], and the table holds 2q twiddles per bin.
-    q = math.isqrt(n - 1) + 1
-    j = np.arange(q)
-    tab = np.exp(-2j * np.pi / n * (b * np.concatenate([j, q * j]) % n))
-    twiddle = (tab[:, q:, None] * tab[:, None, :q]).reshape(b.size, q * q)
-    return np.einsum("rl,kl->rk", rows, twiddle[:, :n])
+    q = min(n, DFT_BLOCK)
+    h = n // q
+    lo = np.exp(-2j * np.pi / n * (b * np.arange(q) % n))
+    hi = np.exp(-2j * np.pi / n * (b * (q * np.arange(-(-n // q))) % n))
+    cols = rows.T
+    if cols.strides[1 if r > 1 else 0] != cols.itemsize:
+        cols = np.ascontiguousarray(cols)
+    blocks = lo @ cols[:h * q].reshape(h, q, r)
+    out = np.einsum("hkr,kh->rk", blocks, hi[:, :h])
+    if h * q < n:
+        out += ((hi[:, h:] * lo[:, :n - h * q]) @ cols[h * q:]).T
+    return out
 
 
 def circular_shift(x: ComplexSignal, s: int) -> ComplexSignal:

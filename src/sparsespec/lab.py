@@ -144,8 +144,8 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
     All three tones alias onto the stream bin at 5 Hz; the runs show the
     collision being detected (order 1, 2, 3) and resolved. One directory
     per signal: config.txt, streams.csv, spectrum.csv, prony_<bin>.csv,
-    eval.csv. The sigma column of prony_<bin>.csv holds the Hankel
-    singular values ``analyze`` counted that bin's order from.
+    eval.csv. prony_<bin>.csv holds the sequence ``analyze`` fit at that
+    bin and the Hankel singular values it counted the bin's order from.
     """
     out = Path(out_dir)
     cfg = experiment_1_config()
@@ -174,7 +174,7 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
                         ("index", "p_re", "p_im", "p_abs", "sigma"),
                         [(i, v.real, v.imag, abs(v),
                           sigma[i] if i < len(sigma) else "")
-                         for i, v in enumerate(spectra[:, b])])
+                         for i, v in enumerate(entry["sequence"])])
         write_key_values(run_dir / "config.txt", [
             ("signal", k + 1), *_manifest(
                 spec, cfg, hybrid, report,

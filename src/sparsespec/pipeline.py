@@ -269,12 +269,13 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     shortcut_conds: list[float] = []
     shortcut_fallbacks = 0
 
-    # All M streams in one contiguous copy (the shortcut reads only stream 0
-    # in full; dft_at runs faster on it than on the view). Peak picking needs
-    # the whole reference spectrum, the shifted streams only the peak bins.
+    # All M streams in one column-major copy (the shortcut reads only
+    # stream 0 in full), so that dft_at's blocked products read the shifted
+    # streams' columns without another copy. Peak picking needs the whole
+    # reference spectrum, the shifted streams only the peak bins.
     full = 1 if cfg.shortcut_shifted else cfg.M
     marks[:full] = True
-    rows = np.array(streams[:full])
+    rows = np.array(streams[:full], order="F")
     reference = np.fft.fft(rows[0])
     peaks = select_peaks(Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
                          cfg.threshold * n)
@@ -296,7 +297,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             # fall back together to the full path below.
             shortcut_fallbacks = cfg.M - 1
             marks[:] = True
-            rows = np.array(streams)
+            rows = np.array(streams, order="F")
         else:
             shortcut_conds = [cond] * (cfg.M - 1)
             per_stream_samples[1:] = [len(peak_bins)] * (cfg.M - 1)
@@ -315,7 +316,8 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         z_u = complex(np.exp(2j * np.pi * b / n))
         a_u = angle_cycles(z_u)
         report = {"bin": b, "rank": 0, "gap": math.inf, "kept": 0,
-                  "residual": 0.0, "error": None, "singular_values": []}
+                  "residual": 0.0, "error": None, "singular_values": [],
+                  "sequence": seq.values.tolist()}
         bin_reports.append(report)
         try:
             if cfg.M == 2:

@@ -118,6 +118,25 @@ class TestDftAt:
                                   <= 8 * self.EPS * norm1)
         assert sides == {True, False}
 
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257, 300, 1001,
+                                   4097, 65534, 65537])
+    def test_matches_fft_across_block_boundaries(self, n):
+        # n on both sides of one and two DFT_BLOCK blocks, and long rows
+        # with and without a tail; C- and F-ordered rows give equal bits.
+        rng = np.random.default_rng(n)
+        k = int(math.log2(n))
+        bins = rng.permutation(np.r_[0, n - 1,
+                                     1 + rng.choice(n - 2, size=k - 2,
+                                                    replace=False)])
+        for rows in (1, 7):
+            x = (rng.standard_normal((rows, n))
+                 + 1j * rng.standard_normal((rows, n)))
+            want = np.fft.fft(x, axis=1)[:, bins]
+            norm1 = np.abs(x).sum(axis=1, keepdims=True)
+            got = dft_at(x, bins)
+            assert np.all(np.abs(got - want) <= 8 * self.EPS * norm1)
+            assert np.array_equal(dft_at(np.asfortranarray(x), bins), got)
+
     def test_fft_side_is_the_fft(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
@@ -139,7 +158,9 @@ class TestDftAt:
     @pytest.mark.parametrize("k", [12, 4096])
     def test_memory_bounded_by_n_log_n(self, k):
         # At the crossover (12 bins of 4096) and with every bin asked for
-        # (a threshold-0 run) nothing near an n x n matrix is built.
+        # (a threshold-0 run) nothing near an n x n matrix is built. The
+        # direct sums build no K x n twiddle matrix either: their tables
+        # hold about K * (DFT_BLOCK + n / DFT_BLOCK) entries.
         n = 4096
         x = np.ones((1, n), dtype=np.complex128)
         tracemalloc.start()
@@ -149,6 +170,8 @@ class TestDftAt:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 16 * n * math.log2(n)
+        if k <= math.log2(n):
+            assert peak <= 2 * 16 * n
 
 
 class TestIdft:

@@ -159,6 +159,20 @@ class TestExperimentRunners:
             assert filled == report["singular_values"]
             assert sigma[len(filled):] == [""] * (12 - len(filled))
 
+    def test_experiment_1_p_columns_are_analyze_sequence(self, tmp_path):
+        # The fitted sequence, not a second FFT of the streams.
+        results = run_experiment_1(tmp_path, seed=0)
+        for k in range(1, 4):
+            for report in results[f"signal{k}"]["hybrid"].diagnostics[
+                    "bin_reports"]:
+                lines = (tmp_path / f"signal{k}"
+                         / f"prony_{report['bin']}.csv").read_text() \
+                    .splitlines()[1:]
+                assert [[float(v) for v in ln.split(",")[1:4]]
+                        for ln in lines] == [[p.real, p.imag, abs(p)]
+                                             for p in report["sequence"]]
+                assert len(report["sequence"]) == 12
+
     def test_experiment_1_config_is_pinned(self):
         cfg = experiment_1_config()
         assert (cfg.u, cfg.s, cfg.M) == (50, 17, 12)

@@ -672,22 +672,54 @@ for length, cfg in records:
 """
 
 
+# Run in a fresh interpreter: dft_at on column-major rows, as analyze
+# gathers them, at sizes well past one DFT_BLOCK block and with a tail.
+# Prints every coefficient bit for bit.
+_DFT_THREAD_SCRIPT = """
+import math
+import numpy as np
+from sparsespec import dft_at
+
+rng = np.random.default_rng(5)
+for n in (65537, 90000, 1000003):
+    for rows in (1, 7):
+        x = rng.standard_normal((n, rows, 2)).view(np.complex128)[..., 0].T
+        for k in (1, 4, int(math.log2(n))):
+            for v in dft_at(x, rng.choice(n, size=k, replace=False)).flat:
+                print(v.real.hex(), v.imag.hex())
+"""
+
+
+def _outputs_at_one_and_two_blas_threads(script):
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
 class TestThreadIndependence:
+    # The peak-bin DFT is BLAS products by design. OpenBLAS splits a sum
+    # longer than its K-block (above 128 complex terms with its Haswell
+    # kernels) into pieces that depend on the thread count, so no product
+    # in dft_at sums over more than DFT_BLOCK samples, and the output must
+    # not depend on the count.
     def test_components_identical_at_one_and_two_blas_threads(self):
-        # A one-row complex product through BLAS (gemv) returned different
-        # bits at one and at two OpenBLAS threads for n >= 4096; the
-        # peak-bin DFT must not depend on that.
-        src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src, os.environ.get("PYTHONPATH", "")]))
-            proc = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = _outputs_at_one_and_two_blas_threads(_THREAD_SCRIPT)
         lines = outputs[0].splitlines()
         assert lines[0] == "7 3" and "0 3" in lines
+        assert outputs[0] == outputs[1]
+
+    def test_peak_bin_dft_identical_at_one_and_two_blas_threads(self):
+        outputs = _outputs_at_one_and_two_blas_threads(_DFT_THREAD_SCRIPT)
+        assert len(outputs[0].splitlines()) == sum(
+            rows * k for n in (65537, 90000, 1000003) for rows in (1, 7)
+            for k in (1, 4, int(math.log2(n))))
         assert outputs[0] == outputs[1]
