@@ -33,7 +33,6 @@ from .fileio import (
     write_signal_raw64,
     write_spectrum_csv,
 )
-from .lab import run_experiment_1, run_experiment_2, run_selftest
 from .pipeline import HybridConfig, analyze, dense_reference
 
 EXIT_OK = 0
@@ -174,6 +173,8 @@ def _cmd_dft(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # lab loads here, not at import: analyze, synth and dft never need it.
+    from .lab import run_experiment_1, run_experiment_2
     if args.id == 1:
         results = run_experiment_1(args.out_dir, seed=args.seed)
         recalls = ",".join(f"{r['eval'].recall:.3f}"
@@ -190,6 +191,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .lab import run_selftest
     report = run_selftest(trials=args.trials, seed=args.seed)
     print(f"selftest: {report['passed']}/{report['trials']} trials passed")
     if report["failures"]:

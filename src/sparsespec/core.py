@@ -257,8 +257,12 @@ def dft_at(rows: np.ndarray, bins) -> np.ndarray:
         return np.fft.fft(rows, axis=1)[:, b[:, 0]]
     q = min(n, DFT_BLOCK)
     h = n // q
-    lo = np.exp(-2j * np.pi / n * (b * np.arange(q) % n))
-    hi = np.exp(-2j * np.pi / n * (b * (q * np.arange(-(-n // q))) % n))
+    k, m = b.size, -(-n // q)
+    # One exp for both tables, each a C-contiguous slice of the result.
+    twiddles = np.exp(-2j * np.pi / n * np.concatenate([
+        (b * np.arange(q) % n).ravel(), (b * (q * np.arange(m)) % n).ravel()]))
+    lo = twiddles[:k * q].reshape(k, q)
+    hi = twiddles[k * q:].reshape(k, m)
     cols = rows.T
     if cols.strides[1 if r > 1 else 0] != cols.itemsize:
         cols = np.ascontiguousarray(cols)

@@ -373,8 +373,9 @@ class TestUsageAndSelftest:
         assert "25/25" in capsys.readouterr().out
 
     def test_selftest_failure_exit_three(self, monkeypatch, capsys):
+        # cli imports lab when the command runs, so patch it there.
         monkeypatch.setattr(
-            cli, "run_selftest",
+            "sparsespec.lab.run_selftest",
             lambda trials, seed: {"trials": trials, "passed": trials - 1,
                                   "failures": [{"reason": "support"}]})
         assert cli.main(["selftest", "--trials", "10"]) == 3
@@ -421,3 +422,15 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "sig.csv").exists()
+
+    def test_analyze_leaves_lab_unloaded(self, tmp_path):
+        # lab loads only for experiment and selftest.
+        sig = write_signal3(tmp_path)
+        code = ("import sys; from sparsespec import cli; "
+                "code = cli.main(sys.argv[1:]); "
+                "sys.exit(code or 10 * ('sparsespec.lab' in sys.modules))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "analyze", "--in", str(sig),
+             "--out", str(tmp_path / "rec.csv")] + ANALYZE_FLAGS,
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """CSV and raw binary signal formats, config and spec files."""
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,8 +69,9 @@ class TestSignalFiles:
             read_signal_raw64(path, rate_hz=10.0)
 
     @pytest.mark.parametrize("text", ["re,im\n1,2\n   \n\t\n3,4\n",
-                                      "re,im\r\n1,2\r\n3,4\r\n"],
-                             ids=["blank_lines", "crlf"])
+                                      "re,im\r\n1,2\r\n3,4\r\n",
+                                      "re,im\n1,2\x0c3,4\u2028"],
+                             ids=["blank_lines", "crlf", "splitlines_breaks"])
     def test_csv_line_forms_accepted(self, tmp_path, text):
         path = tmp_path / "sig.csv"
         path.write_bytes(text.encode())
@@ -122,6 +124,58 @@ class TestSignalFiles:
         path.write_bytes(b"\x00" * 20)
         with pytest.raises(FileFormatError):
             read_signal_raw64(path, rate_hz=10.0)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_signal(n, seed):
+    rng = np.random.default_rng(seed)
+    return ComplexSignal(
+        samples=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        rate_hz=64.0)
+
+
+class TestBoundedPass:
+    """Signal CSVs are read and written without holding the file's text."""
+
+    def test_memory_bounded_by_sample_bytes(self, tmp_path):
+        # 2^18 + 5 rows: whole write chunks and a partial last one.
+        x = random_signal(2 ** 18 + 5, seed=3)
+        x.samples[-36:] = extreme_signal().samples[-36:]
+        path = tmp_path / "sig.csv"
+        _, peak = traced_peak(write_signal_csv, path, x)
+        assert peak <= x.samples.nbytes
+        # The one-pass formatter the chunked writer replaced.
+        whole = "\n".join(["re,im", *map("{!r},{!r}".format,
+                                         x.samples.real.tolist(),
+                                         x.samples.imag.tolist())]) + "\n"
+        assert path.read_bytes() == whole.encode()
+        back, peak = traced_peak(read_signal_csv, path, 64.0)
+        assert peak <= 2 * x.samples.nbytes
+        assert back.samples.tobytes() == x.samples.tobytes()
+
+    @pytest.mark.parametrize("row,error,match", [
+        (b"\xff,3", FileFormatError, "not UTF-8 text"),
+        (b"nan,3", NonFiniteSamples, None),
+        (b"foo,3", FileFormatError, "line 55002: "),
+    ], ids=["non_utf8", "nan", "bad_cell"])
+    def test_errors_past_first_loadtxt_chunk(self, tmp_path, row, error,
+                                              match):
+        # np.loadtxt reads its input 50,000 rows at a time.
+        rows = [b"1,2"] * 60000
+        rows[55000] = row
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"\n".join([b"re,im", *rows]) + b"\n")
+        with pytest.raises(error, match=match):
+            read_signal_csv(path, rate_hz=10.0)
 
 
 @pytest.mark.parametrize("reader", [
