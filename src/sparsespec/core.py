@@ -175,7 +175,6 @@ class PeakList:
     """
 
     entries: tuple[tuple[int, float], ...]
-    threshold: float = 0.0
 
     def bin_indices(self) -> list[int]:
         return [b for b, _ in self.entries]
@@ -333,4 +332,4 @@ def select_peaks(spectrum: Spectrum, threshold: float) -> PeakList:
     hits = np.flatnonzero(mags >= max(threshold, PEAK_FLOOR_REL * mags.max()))
     order = hits[np.argsort(-mags[hits], kind="stable")]
     entries = tuple((int(j), float(mags[j])) for j in order)
-    return PeakList(entries=entries, threshold=threshold)
+    return PeakList(entries=entries)

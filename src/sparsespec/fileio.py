@@ -292,10 +292,16 @@ def _field_entries(obj, schema) -> list[tuple[str, object]]:
 
 def read_config(path: str | Path) -> HybridConfig:
     """Parse a flat ``key = value`` config whose keys, value types and
-    required keys are those of the HybridConfig fields. An optional field
-    takes the value ``none``."""
-    return HybridConfig(**_read_fields(path, _parse_kv_lines(path),
-                                       _CONFIG_SCHEMA))
+    required keys are those of the HybridConfig fields, and validate it. An
+    optional field takes the value ``none``. A value ``validate`` rejects
+    raises FileFormatError, except NotCoprime, which is raised as it is."""
+    cfg = HybridConfig(**_read_fields(path, _parse_kv_lines(path),
+                                      _CONFIG_SCHEMA))
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    return cfg
 
 
 def write_config(path: str | Path, cfg: HybridConfig) -> None:
@@ -311,13 +317,16 @@ def read_synth_spec(path: str | Path) -> SynthSpec:
     for value in (v for k, v in pairs if k == "tone"):
         try:
             mu, real, imag = (float(cell) for cell in value.split(","))
+            tones.append(ToneSpec(mu_hz=mu, amplitude=complex(real, imag)))
         except ValueError as exc:
             raise FileFormatError(
                 f"{path}: bad value for tone: {value!r}") from exc
-        tones.append(ToneSpec(mu_hz=mu, amplitude=complex(real, imag)))
     values = _read_fields(path, [p for p in pairs if p[0] != "tone"],
                           _SYNTH_SCHEMA)
-    return SynthSpec(tones=tuple(tones), **values)
+    try:
+        return SynthSpec(tones=tuple(tones), **values)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_synth_spec(path: str | Path, spec: SynthSpec) -> None:

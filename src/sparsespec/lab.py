@@ -119,7 +119,9 @@ def _manifest(spec: SynthSpec, cfg: HybridConfig, hybrid: SparseSpectrum,
             ("u", cfg.u), ("s", cfg.s), ("M", cfg.M),
             ("threshold", cfg.threshold),
             ("stream_length", d["stream_length"]),
-            ("samples_used", d["samples_used"]), *budget,
+            ("samples_used", d["samples_used"]),
+            ("peak_candidates", d["peak_candidates"]),
+            ("peak_bins", len(d["peak_bins"])), *budget,
             ("components", len(hybrid.components)),
             ("noise_sigma", d["noise_sigma"]),
             ("recall", report.recall), ("precision", report.precision)]
@@ -203,7 +205,7 @@ def experiment_2_spec(seed: int = 0,
 def experiment_2_config(M: int, snr_db: float | None) -> HybridConfig:
     """Config for experiment 2 with M streams. ``snr_db`` does not change
     it: ``analyze`` measures the noise itself."""
-    return HybridConfig(u=142, s=7, M=M, threshold=0.25, max_peaks=64)
+    return HybridConfig(u=142, s=7, M=M, threshold=0.25)
 
 
 def _mu_clusters(mus, gap_hz: float = 4.0) -> list[list[float]]:

@@ -2,14 +2,19 @@
 
 ``analyze`` runs the whole chain: one stream gather through a strided
 view of the record (of its periodic extension when a wrapping plan runs
-past the end), one FFT of the reference stream, peak picking on it,
-peak-bin DFTs of the shifted streams, collision-order estimation and pencil
-decomposition per peak bin, ambiguity resolution against the coprime shift
-step, and a final merge onto the fine grid. The samples read are marked
-through the same view in a boolean mask. With the shortcut, one K-sample
-Vandermonde solve stands in for the peak-bin DFTs of all shifted streams;
-when its node matrix is too ill-conditioned, too large or its SVD fails,
-all of them fall back to the DFTs at once.
+past the end), one FFT of the reference stream, the noise deviation
+sigma read off it, peak detection in two stages, collision-order
+estimation and pencil decomposition per confirmed peak bin, ambiguity
+resolution against the coprime shift step, and a final merge onto the
+fine grid. Candidates are the reference bins that reach both the
+``threshold`` and sigma * sqrt(ln 10), which noise alone does in 0.1 of
+the bins. The shifted streams' coefficients are taken at the candidates,
+and a candidate is confirmed when its mean power over all M streams
+reaches a level noise alone exceeds in about 0.01 bins per record. The
+samples read are marked through the same view in a boolean mask. With the
+shortcut, one K-sample Vandermonde solve stands in for the peak-bin DFTs
+of all shifted streams; when its node matrix is too ill-conditioned, too
+large or its SVD fails, all of them fall back to the DFTs at once.
 
 ``dense_reference`` is the brute-force single-DFT estimator used for
 oracle comparisons and budget studies.
@@ -24,6 +29,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +76,10 @@ from .prony import (
 
 RESOLVERS = ("match", "bezout")
 SHORTCUT_CONDITION_CAP = 1e10
+# Noise-only false-alarm rates of the two detection stages: per reference
+# bin for a candidate, per record for a confirmed peak bin.
+CANDIDATE_FALSE_ALARM = 0.1
+CONFIRM_FALSE_ALARM = 0.01
 
 
 @dataclass(frozen=True)
@@ -80,13 +90,19 @@ class HybridConfig:
     with u), M the stream count. ``threshold`` is in tone units: a peak
     survives when its per-sample amplitude reaches it. ``stream_len`` pins
     the per-stream length; None takes the longest the signal supports.
-    ``max_peaks`` caps how many reference-stream peaks are pursued, largest
-    first; None pursues all of them.
 
-    The remaining tolerances are fixed: ``select_peaks`` drops peaks under
-    ``PEAK_FLOOR_REL`` of the largest, ``estimate_order`` counts a bin's
-    tones above the noise ``estimate_noise`` reads off the reference
-    spectrum, pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit
+    The remaining tolerances are fixed. How many peaks are pursued follows
+    from the noise deviation sigma that ``estimate_noise`` reads off the
+    reference spectrum, in two stages. A reference bin is a candidate when
+    its magnitude reaches both ``threshold`` * n and sigma * sqrt(ln 10),
+    which noise alone does in ``CANDIDATE_FALSE_ALARM`` = 0.1 of the bins.
+    A candidate is confirmed when the mean of |X_m|^2 over all M streams
+    reaches sigma^2 times the Gamma(M, 1/M) quantile at
+    1 - ``CONFIRM_FALSE_ALARM`` / n, so noise alone confirms about 0.01
+    bins per record (the Gamma law holds while the M streams read disjoint
+    samples, M <= u). ``select_peaks`` drops peaks under ``PEAK_FLOOR_REL``
+    of the largest, ``estimate_order`` counts a confirmed bin's tones above
+    sigma, pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit
     circle, recoveries merge within half a fine bin, and ``resolve_cycles``
     fixes the alias-pairing tolerances.
     """
@@ -99,7 +115,6 @@ class HybridConfig:
     wrap: bool = False
     shortcut_shifted: bool = False
     stream_len: int | None = None
-    max_peaks: int | None = None
 
     def validate(self) -> None:
         if self.u < 1 or self.s < 1:
@@ -114,8 +129,6 @@ class HybridConfig:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
         if self.stream_len is not None and self.stream_len < 1:
             raise ValueError("stream_len must be positive when given")
-        if self.max_peaks is not None and self.max_peaks < 1:
-            raise ValueError("max_peaks must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -246,6 +259,32 @@ def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
     return merged
 
 
+@lru_cache(maxsize=128)
+def noise_power_quantile(m: int, p: float) -> float:
+    """The level, in units of sigma^2, that the mean of |X|^2 over m
+    streams of noise alone reaches with probability p (0 < p < 1).
+
+    That mean is Gamma(m, 1/m): for x = m * level its tail is
+    exp(-x) * sum_{j<m} x^j / j!. The log of the tail is concave in x, so
+    Newton's method on it converges from any x > 0, from above after the
+    first step.
+    """
+    log_p = math.log(p)
+    x = m - log_p
+    for _ in range(100):
+        # The tail's sum over its last term, x^(m-1) / (m-1)!, by Horner;
+        # -1/r is the log tail's slope.
+        r = 1.0
+        for j in range(1, m):
+            r = 1.0 + r * j / x
+        log_tail = (m - 1) * math.log(x) - x - math.lgamma(m) + math.log(r)
+        step = (log_tail - log_p) * r
+        x += step
+        if abs(step) <= 1e-12 * x:
+            break
+    return x / m
+
+
 def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     """Recover a sparse spectrum at full-grid resolution from M streams.
 
@@ -271,21 +310,21 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
 
     # All M streams in one column-major copy (the shortcut reads only
     # stream 0 in full), so that dft_at's blocked products read the shifted
-    # streams' columns without another copy. Peak picking needs the whole
-    # reference spectrum, the shifted streams only the peak bins.
+    # streams' columns without another copy. Candidate picking needs the
+    # whole reference spectrum, the shifted streams only the candidates.
     full = 1 if cfg.shortcut_shifted else cfg.M
     marks[:full] = True
     rows = np.array(streams[:full], order="F")
     reference = np.fft.fft(rows[0])
-    peaks = select_peaks(Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
-                         cfg.threshold * n)
-    if cfg.max_peaks is not None and len(peaks.entries) > cfg.max_peaks:
-        peaks = PeakList(entries=peaks.entries[:cfg.max_peaks],
-                         threshold=peaks.threshold)
-    peak_bins = list(peaks.bin_indices())
+    noise = estimate_noise(reference)
+    peaks = select_peaks(
+        Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
+        max(cfg.threshold * n,
+            noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))))
+    candidates = peaks.bin_indices()
 
-    coeffs = np.empty((cfg.M, len(peak_bins)), dtype=np.complex128)
-    coeffs[0] = reference[peak_bins]
+    coeffs = np.empty((cfg.M, len(candidates)), dtype=np.complex128)
+    coeffs[0] = reference[candidates]
     per_stream_samples = [n] * cfg.M
     if cfg.shortcut_shifted:
         shifted = range(1, cfg.M)
@@ -300,16 +339,26 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             rows = np.array(streams, order="F")
         else:
             shortcut_conds = [cond] * (cfg.M - 1)
-            per_stream_samples[1:] = [len(peak_bins)] * (cfg.M - 1)
-            marks[1:, :len(peak_bins)] = True
+            per_stream_samples[1:] = [len(candidates)] * (cfg.M - 1)
+            marks[1:, :len(candidates)] = True
     if len(rows) == cfg.M:  # every stream read in full
-        coeffs[1:] = dft_at(rows[1:], peak_bins)
+        coeffs[1:] = dft_at(rows[1:], candidates)
+
+    # Confirm on all M streams. The rms is compared in amplitude units, so
+    # that sigma is never squared, and a NaN or overflowing bin is kept to
+    # fail on its own.
+    level = noise * math.sqrt(noise_power_quantile(
+        cfg.M, CONFIRM_FALSE_ALARM / n))
+    drop = np.sqrt(np.square(np.abs(coeffs)).sum(0) / cfg.M) < level
+    peak_bins = candidates
+    if drop.any():
+        coeffs = coeffs[:, ~drop]
+        peak_bins = [b for b, d in zip(candidates, drop.tolist()) if not d]
     sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
 
     components: list[RecoveredComponent] = []
     bin_reports: list[dict] = []
     bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
-    noise = estimate_noise(reference)
 
     for b in peak_bins:
         seq = sequences[b]
@@ -366,6 +415,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         "fine_grid_size": cfg.u * n,
         "samples_used": int(np.count_nonzero(read)),
         "per_stream_samples": per_stream_samples,
+        "peak_candidates": len(candidates),
         "peak_bins": [int(b) for b in peak_bins],
         "bin_reports": bin_reports,
         "failures": [r for r in bin_reports if r["error"]],

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten primary criteria, one verdict line each.
+"""Acceptance gate: eleven primary criteria, one verdict line each.
 
 Each test prints its verdict through ``capsys.disabled()`` so the line is
 visible in the live pytest output at any verbosity.
@@ -399,3 +399,30 @@ def test_criterion_10_experiment_2_precision(capsys):
     with capsys.disabled():
         print(f"criterion 10: PASS - M=28, seeds 0-9, pooled "
               f"{', '.join(lines)}, {elapsed:.1f}s")
+
+
+def test_criterion_11_noise_only_false_alarms(capsys):
+    # Noise alone, sigma = 10 per sample: the two detection stages are
+    # designed to confirm 0.01 peak bins per record, and nothing may come
+    # out as a component.
+    start = time.monotonic()
+    records = 100
+    lines = []
+    for M in (8, 28):
+        cfg = experiment_2_config(M=M, snr_db=None)
+        confirmed = components = 0
+        for seed in range(records):
+            rng = np.random.default_rng(seed)
+            noise = 10.0 / math.sqrt(2.0) * (rng.standard_normal(2 ** 16)
+                                            + 1j * rng.standard_normal(2 ** 16))
+            res = analyze(ComplexSignal(samples=noise, rate_hz=10000.0), cfg)
+            confirmed += len(res.diagnostics["peak_bins"])
+            components += len(res.components)
+        assert components == 0
+        assert confirmed / records <= 0.1
+        lines.append(f"M={M} {confirmed / records:.2f}")
+    elapsed = time.monotonic() - start
+    with capsys.disabled():
+        print(f"criterion 11: PASS - {records} noise-only 2^16-sample "
+              f"records, confirmed peak bins per record {', '.join(lines)} "
+              f"(design 0.01), 0 components, {elapsed:.1f}s")

@@ -165,7 +165,7 @@ class TestAnalyze:
         assert "threshold must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["sigma_rel_tol = 0.05",
-                                      "extra_terms = 0"])
+                                      "extra_terms = 0", "max_peaks = 64"])
     def test_removed_config_key_exit_two(self, tmp_path, capsys, line):
         sig = write_signal3(tmp_path)
         cfg = tmp_path / "cfg.txt"
@@ -253,7 +253,7 @@ class TestMalformedInput:
                ToneSpec(mu_hz=85.0, amplitude=0.5j)),
         rate_hz=200.0, length=200, snr_db=None, seed=0)
     CONFIG = ("u = 10\ns = 3\nM = 6\nthreshold = 0.2\nresolver = match\n"
-              "shortcut_shifted = true\nmax_peaks = none\n")
+              "shortcut_shifted = true\n")
 
     @staticmethod
     def corrupt(data: bytes, how: str, rnd: random.Random,
@@ -358,7 +358,7 @@ class TestUsageAndSelftest:
 
     @pytest.mark.parametrize("flag", ["--delta", "--merge-tol",
                                       "--match-tol", "--sigma-tol",
-                                      "--extra-terms"])
+                                      "--extra-terms", "--max-peaks"])
     def test_removed_flag_exit_one(self, flag, capsys):
         assert cli.main(["analyze", "--in", "sig.csv", "--out", "rec.csv",
                          flag, "0.2"] + ANALYZE_FLAGS) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparsespec import ComplexSignal, HybridConfig, NonFiniteSamples, \
-    RecoveredComponent, SparseSpectrum, SynthSpec, ToneSpec
+    NotCoprime, RecoveredComponent, SparseSpectrum, SynthSpec, ToneSpec
 from sparsespec.fileio import (
     FileFormatError,
     read_components_csv,
@@ -255,6 +255,22 @@ class TestConfigFiles:
         with pytest.raises(FileFormatError):
             read_config(path)
 
+    @pytest.mark.parametrize("geometry, message", [
+        ("u = 0\ns = 3\nM = 8", "u and s must be positive integers"),
+        ("u = 5\ns = 3\nM = 1", "at least 2 streams are required")],
+        ids=["u=0", "M=1"])
+    def test_invalid_value_names_file(self, tmp_path, geometry, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(geometry + "\n")
+        with pytest.raises(FileFormatError, match=f"cfg.txt: {message}"):
+            read_config(path)
+
+    def test_not_coprime_raised_as_is(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("u = 6\ns = 3\nM = 8\n")
+        with pytest.raises(NotCoprime):
+            read_config(path)
+
 
 class TestSynthSpecFiles:
     def test_round_trip(self, tmp_path):
@@ -281,20 +297,29 @@ class TestSynthSpecFiles:
         with pytest.raises(FileFormatError):
             read_synth_spec(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ("rate_hz = 0\nlength = 64", "rate_hz must be positive"),
+        ("rate_hz = 100.0\nlength = 0", "length must be at least 1"),
+        ("rate_hz = 100.0\nlength = 64\ntone = inf,1.0,0.0",
+         "bad value for tone")], ids=["rate_hz=0", "length=0", "tone=inf"])
+    def test_invalid_value_names_file(self, tmp_path, fields, message):
+        path = tmp_path / "spec.txt"
+        path.write_text(fields + "\n")
+        with pytest.raises(FileFormatError, match=f"spec.txt: {message}"):
+            read_synth_spec(path)
+
 
 class TestOutputBytes:
     """Exact text of the shared cell formatter: floats by repr, ints in
     decimal, None as none, booleans as true/false."""
 
     def test_config_text(self, tmp_path):
-        cfg = HybridConfig(u=5, s=3, M=9, threshold=1, wrap=True,
-                           max_peaks=None)
+        cfg = HybridConfig(u=5, s=3, M=9, threshold=1, wrap=True)
         path = tmp_path / "cfg.txt"
         write_config(path, cfg)
         assert path.read_text() == (
             "u = 5\ns = 3\nM = 9\nthreshold = 1.0\nresolver = match\n"
-            "wrap = true\nshortcut_shifted = false\nstream_len = none\n"
-            "max_peaks = none\n")
+            "wrap = true\nshortcut_shifted = false\nstream_len = none\n")
 
     def test_synth_spec_text(self, tmp_path):
         spec = SynthSpec(tones=(ToneSpec(mu_hz=12.5,

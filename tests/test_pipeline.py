@@ -31,6 +31,8 @@ from sparsespec import (
     synthesize,
 )
 from sparsespec.lab import experiment_1_config, experiment_1_spec
+from sparsespec.pipeline import noise_power_quantile
+from sparsespec.prony import SVD_DIM_CAP
 
 
 def tone_signal(freqs_amps, rate, length):
@@ -447,19 +449,23 @@ class TestShortcut:
             assert a.amplitude == pytest.approx(b.amplitude, abs=1e-9)
 
     def test_more_peaks_than_node_cap_falls_back(self):
-        # Threshold 0 on noise makes every one of the 997 stream bins a
-        # peak: a node matrix beyond svd_small's 512 cap costs the
-        # shortcut, not the run.
+        # 600 on-grid unit tones make 600 confirmed peak bins: a node
+        # matrix beyond svd_small's 512 cap costs the shortcut, not the run.
         rng = np.random.default_rng(3)
-        x = ComplexSignal(samples=rng.standard_normal(1000)
-                          + 1j * rng.standard_normal(1000), rate_hz=1000.0)
+        n = 1997
+        bins = rng.choice(n, size=600, replace=False)
+        l = np.arange(2000)
+        x = ComplexSignal(
+            samples=(np.exp(2j * np.pi * rng.random(600))[:, None]
+                     * np.exp(2j * np.pi * bins[:, None] * l / n)).sum(0),
+            rate_hz=2000.0)
         base = dict(u=1, s=1, M=4, threshold=0.0)
         full = analyze(x, HybridConfig(**base))
         res = analyze(x, HybridConfig(shortcut_shifted=True, **base))
-        assert len(res.diagnostics["peak_bins"]) == 997
+        assert len(res.diagnostics["peak_bins"]) > SVD_DIM_CAP
         assert res.diagnostics["shortcut_fallbacks"] == 3
         assert res.components == full.components
-        assert len(res.components) > 0
+        assert len(res.components) == 600
 
 
 class TestDiagnostics:
@@ -505,6 +511,47 @@ class TestDiagnostics:
         reports = res.diagnostics["bin_reports"]
         assert reports
         assert all(r["singular_values"] == [] for r in reports)
+
+
+class TestPeakDetection:
+    @pytest.mark.parametrize("p", [0.1, 1e-4, 1e-9])
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 28, 200])
+    def test_noise_power_quantile_inverts_gamma_tail(self, m, p):
+        # The mean of m unit exponentials exceeds q with probability
+        # exp(-m q) * sum_{j<m} (m q)^j / j!, summed here term by term.
+        x = m * noise_power_quantile(m, p)
+        logs = [j * math.log(x) - math.lgamma(j + 1) - x for j in range(m)]
+        top = max(logs)
+        tail = math.exp(top) * sum(math.exp(v - top) for v in logs)
+        assert tail == pytest.approx(p, rel=1e-9)
+
+    def test_noise_only_record_confirms_no_peak(self):
+        # Disjoint streams (M <= u) of noise alone: about one reference bin
+        # in ten is a candidate, and none is confirmed on all M streams.
+        rng = np.random.default_rng(7)
+        x = ComplexSignal(samples=rng.standard_normal(4096)
+                          + 1j * rng.standard_normal(4096), rate_hz=4096.0)
+        res = analyze(x, HybridConfig(u=16, s=5, M=8, threshold=0.0))
+        d = res.diagnostics
+        n = d["stream_length"]
+        assert 0.05 * n < d["peak_candidates"] < 0.2 * n
+        assert d["peak_bins"] == [] and d["bin_reports"] == []
+        assert res.components == ()
+
+    def test_tone_in_noise_confirmed(self):
+        # One tone 3 dB below the per-sample noise: its bin is the only one
+        # confirmed among the candidates.
+        rng = np.random.default_rng(8)
+        n = max_stream_length(4096, 16, 5, 8)
+        freq = 992 * 4096.0 / (16 * n)
+        x = tone_signal([(freq, 1.0)], 4096.0, 4096)
+        x = ComplexSignal(samples=x.samples + rng.standard_normal(4096)
+                          + 1j * rng.standard_normal(4096), rate_hz=4096.0)
+        res = analyze(x, HybridConfig(u=16, s=5, M=8, threshold=0.0))
+        d = res.diagnostics
+        assert d["peak_bins"] == [992 % n]
+        assert d["peak_candidates"] > 1
+        assert [c.source_bin for c in res.components] == [992 % n]
 
 
 class TestBatchedStreams:
@@ -556,8 +603,7 @@ class TestBatchedStreams:
                               else int(rng.integers(1, n_max + 1)))
             cfg = HybridConfig(u=u, s=s, M=M, threshold=0.2, wrap=wrap,
                                stream_len=stream_len,
-                               shortcut_shifted=bool(rng.random() < 0.5),
-                               max_peaks=int(rng.integers(1, 5)))
+                               shortcut_shifted=bool(rng.random() < 0.5))
             # The shortcut falls back for all shifted streams or for none;
             # the first of M - 1 draws decides.
             forced = (set(range(1, M)) if rng.random(M - 1)[0] < 0.4
