@@ -10,10 +10,11 @@ fine grid. Candidates are the reference bins that reach both the
 ``threshold`` and sigma * sqrt(ln 10), which noise alone does in 0.1 of
 the bins. The shifted streams' coefficients are taken at the candidates,
 and a candidate is confirmed when its mean power over all M streams
-reaches a level noise alone exceeds in about 0.01 bins per record. The
-samples read are marked through the same view in a boolean mask. With the
-shortcut, one K-sample Vandermonde solve stands in for the peak-bin DFTs
-of all shifted streams; when its node matrix is too ill-conditioned, too
+reaches a level noise alone exceeds in about 0.01 bins per record, counting
+only the min(M, u) streams whose samples do not overlap as independent.
+The samples read are marked through the same view in a boolean mask. With
+the shortcut, one K-sample Vandermonde solve stands in for the peak-bin
+DFTs of all shifted streams; when its node matrix is too ill-conditioned, too
 large or its SVD fails, all of them fall back to the DFTs at once.
 
 ``dense_reference`` is the brute-force single-DFT estimator used for
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -81,6 +83,9 @@ SHORTCUT_CONDITION_CAP = 1e10
 CANDIDATE_FALSE_ALARM = 0.1
 CONFIRM_FALSE_ALARM = 0.01
 
+# Per-thread work arrays of ``analyze``, kept between calls (see there).
+_work = threading.local()
+
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -97,14 +102,16 @@ class HybridConfig:
     its magnitude reaches both ``threshold`` * n and sigma * sqrt(ln 10),
     which noise alone does in ``CANDIDATE_FALSE_ALARM`` = 0.1 of the bins.
     A candidate is confirmed when the mean of |X_m|^2 over all M streams
-    reaches sigma^2 times the Gamma(M, 1/M) quantile at
+    reaches sigma^2 times the Gamma(k, 1/k) quantile at
     1 - ``CONFIRM_FALSE_ALARM`` / n, so noise alone confirms about 0.01
-    bins per record (the Gamma law holds while the M streams read disjoint
-    samples, M <= u). ``select_peaks`` drops peaks under ``PEAK_FLOOR_REL``
-    of the largest, ``estimate_order`` counts a confirmed bin's tones above
-    sigma, pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit
-    circle, recoveries merge within half a fine bin, and ``resolve_cycles``
-    fixes the alias-pairing tolerances.
+    bins per record. k = min(M, u) counts the streams that read disjoint
+    samples: stream m + u is stream m shifted by s, so when M > u the mean
+    is taken within each class m mod u first, then over the u classes.
+    ``select_peaks`` drops peaks under ``PEAK_FLOOR_REL`` of the largest,
+    ``estimate_order`` counts a confirmed bin's tones above sigma, pencil
+    roots count within ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries
+    merge within half a fine bin, and ``resolve_cycles`` fixes the
+    alias-pairing tolerances.
     """
 
     u: int
@@ -285,6 +292,16 @@ def noise_power_quantile(m: int, p: float) -> float:
     return x / m
 
 
+def _work_array(name: str, size: int, dtype) -> np.ndarray:
+    """This thread's kept work array ``name``, replaced unless it holds
+    ``size`` elements. The contents are whatever the last call left."""
+    a = getattr(_work, name, None)
+    if a is None or a.size != size:
+        a = np.empty(size, dtype)
+        setattr(_work, name, a)
+    return a
+
+
 def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     """Recover a sparse spectrum at full-grid resolution from M streams.
 
@@ -292,6 +309,17 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     that does not converge) are recorded in diagnostics["failures"] and do
     not abort the run. The run is deterministic for a fixed config and
     input.
+
+    Each thread keeps two work arrays between calls: the read mask (1 byte
+    per record sample, whole periods of it for a wrapping plan) and the
+    reference stream, which is transformed in place into its spectrum (16
+    bytes per stream sample). A call reuses them when it needs the same
+    sizes as the thread's last call and replaces them otherwise, so a
+    thread holds at most one pair: 2 MiB for a 2^20-sample record at
+    u = 16. Allocated afresh, arrays of that size go back to the kernel
+    between calls and fault in as new pages again, about 1,500 page faults
+    per call there with glibc. Nothing in the result refers to a work
+    array: every value that leaves the call is copied out of them.
     """
     cfg.validate()
     spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len,
@@ -302,20 +330,29 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     fine_res = rate / (cfg.u * n)
     # The read mask covers whole periods of the record, so a wrapping plan
     # marks its periodic extension, folded back onto the record at the end.
-    read = np.zeros(-(-pinned.span(n) // len(x)) * len(x), dtype=bool)
+    read = _work_array("read", -(-pinned.span(n) // len(x)) * len(x), bool)
+    read.fill(False)
     marks = stream_view(read, pinned, writeable=True)
     streams = stream_view(x.samples, pinned)
     shortcut_conds: list[float] = []
     shortcut_fallbacks = 0
 
-    # All M streams in one column-major copy (the shortcut reads only
-    # stream 0 in full), so that dft_at's blocked products read the shifted
-    # streams' columns without another copy. Candidate picking needs the
-    # whole reference spectrum, the shifted streams only the candidates.
-    full = 1 if cfg.shortcut_shifted else cfg.M
-    marks[:full] = True
-    rows = np.array(streams[:full], order="F")
-    reference = np.fft.fft(rows[0])
+    # Without the shortcut all M streams are gathered in one column-major
+    # copy, so that dft_at's blocked products read the shifted streams'
+    # columns without another copy, and stream 0 is copied out of it while
+    # it is in cache. The shortcut reads only stream 0 in full. Candidate
+    # picking needs the whole reference spectrum, the shifted streams only
+    # the candidates.
+    reference = _work_array("reference", n, np.complex128)
+    rows = None
+    if cfg.shortcut_shifted:
+        marks[0] = True
+        reference[:] = streams[0]
+    else:
+        marks[:] = True
+        rows = np.array(streams, order="F")
+        reference[:] = rows[0]
+    np.fft.fft(reference, out=reference)
     noise = estimate_noise(reference)
     peaks = select_peaks(
         Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
@@ -341,15 +378,21 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             shortcut_conds = [cond] * (cfg.M - 1)
             per_stream_samples[1:] = [len(candidates)] * (cfg.M - 1)
             marks[1:, :len(candidates)] = True
-    if len(rows) == cfg.M:  # every stream read in full
+    if rows is not None:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], candidates)
 
-    # Confirm on all M streams. The rms is compared in amplitude units, so
-    # that sigma is never squared, and a NaN or overflowing bin is kept to
-    # fail on its own.
+    # Confirm on all M streams. Stream m + u reads the samples of stream m
+    # shifted by s, so only the k = min(M, u) classes m mod u hold
+    # independent noise: when M > u the power is averaged within each class
+    # first. The rms is compared in amplitude units, so that sigma is never
+    # squared, and a NaN or overflowing bin is kept to fail on its own.
+    k = min(cfg.M, cfg.u)
+    power = np.square(np.abs(coeffs))
+    if k < cfg.M:
+        power = np.array([power[c::k].mean(0) for c in range(k)])
     level = noise * math.sqrt(noise_power_quantile(
-        cfg.M, CONFIRM_FALSE_ALARM / n))
-    drop = np.sqrt(np.square(np.abs(coeffs)).sum(0) / cfg.M) < level
+        k, CONFIRM_FALSE_ALARM / n))
+    drop = np.sqrt(power.sum(0) / k) < level
     peak_bins = candidates
     if drop.any():
         coeffs = coeffs[:, ~drop]

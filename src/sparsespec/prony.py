@@ -130,7 +130,8 @@ def estimate_noise(spectrum: np.ndarray) -> float:
     its mean. Valid while most bins hold only noise."""
     mags = np.abs(spectrum)
     mid = mags.size // 2
-    return float(np.partition(mags, mid)[mid] / math.sqrt(math.log(2.0)))
+    mags.partition(mid)
+    return float(mags[mid] / math.sqrt(math.log(2.0)))
 
 
 def estimate_order(seq: PronySequence, noise_sigma: float) -> OrderEstimate:

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -553,6 +555,23 @@ class TestPeakDetection:
         assert d["peak_candidates"] > 1
         assert [c.source_bin for c in res.components] == [992 % n]
 
+    @pytest.mark.parametrize("u, s, M", [(1, 1, 4), (3, 2, 8)])
+    def test_overlapping_streams_confirm_at_design_rate(self, u, s, M):
+        # With M > u, stream m + u reads stream m's samples shifted by s,
+        # so only min(M, u) streams carry independent noise. Read as M
+        # independent streams, noise alone confirmed about 10 (u = 1) and
+        # 1.25 (u = 3) bins per record against the 0.01 design rate.
+        confirmed = components = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = ComplexSignal(samples=rng.standard_normal(1000)
+                              + 1j * rng.standard_normal(1000),
+                              rate_hz=1000.0)
+            res = analyze(x, HybridConfig(u=u, s=s, M=M, threshold=0.0))
+            confirmed += len(res.diagnostics["peak_bins"])
+            components += len(res.components)
+        assert confirmed <= 2 and components <= 1
+
 
 class TestBatchedStreams:
     def test_samples_used_and_spectra_match_per_stream_reference(
@@ -646,6 +665,121 @@ class TestBatchedStreams:
                 assert np.all(np.abs(seen["coeffs"][m]
                                      - direct[m][d["peak_bins"]]) <= bound)
         assert collided > 10 and fallbacks > 10
+
+
+def _outputs(res):
+    """Every value of a result: repr writes each float bit for bit."""
+    return repr((res.components, res.diagnostics))
+
+
+def _in_new_thread(fn):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+def _on_grid_record(length, cfg, bins_amps):
+    fine = cfg.u * max_stream_length(length, cfg.u, cfg.s, cfg.M)
+    return tone_signal([(k * 10000.0 / fine, a) for k, a in bins_amps],
+                       10000.0, length)
+
+
+class TestWorkArrays:
+    # analyze keeps its read mask and reference stream per thread between
+    # calls, reused at the same size and replaced at another.
+    @pytest.mark.parametrize("shortcut", [False, True])
+    def test_later_calls_leave_earlier_results_alone(self, shortcut):
+        cfg = HybridConfig(u=5, s=3, M=7, threshold=0.2,
+                           shortcut_shifted=shortcut)
+        a = _on_grid_record(1000, cfg, [(123, 1.0), (601, 0.5j)])
+        b = _on_grid_record(1000, cfg, [(300, 0.8), (7, 1.0), (950, -1j)])
+        c = _on_grid_record(600, cfg, [(40, 1.0)])
+
+        def work():
+            return pipeline._work.read, pipeline._work.reference
+
+        def run():
+            first = analyze(a, cfg)
+            before = _outputs(first)
+            kept = work()
+            analyze(b, cfg)
+            again = analyze(a, cfg)
+            assert work()[0] is kept[0] and work()[1] is kept[1]
+            analyze(c, cfg)
+            assert work()[0] is not kept[0] and work()[1] is not kept[1]
+            last = analyze(a, cfg)
+            assert _outputs(first) == before
+            assert _outputs(again) == before and _outputs(last) == before
+            return first
+
+        assert len(_in_new_thread(run).components) == 2
+
+    def test_threads_match_serial_results(self):
+        # Same-size records on the full path and on the shortcut, one
+        # thread each, more threads than cores and a short switch interval:
+        # each thread must keep to its own work arrays.
+        length = 2 ** 18
+        full = HybridConfig(u=16, s=5, M=8, resolver="bezout")
+        short = replace(full, shortcut_shifted=True)
+        records = [
+            _on_grid_record(length, full, [(3001, 1.0), (40007, 0.6j)]),
+            _on_grid_record(length, full, [(777, 0.9), (12000, -0.5)])]
+        jobs = [(x, cfg) for x in records for cfg in (full, short)]
+        serial = [analyze(x, cfg) for x, cfg in jobs]
+        assert all(r.diagnostics["shortcut_fallbacks"] == 0 for r in serial)
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def loop(job):
+            x, cfg = job
+            start.wait()
+            return [_outputs(analyze(x, cfg)) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                runs = list(pool.map(loop, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for outputs, expected in zip(runs, serial):
+            assert outputs == [_outputs(expected)] * 5
+
+    def test_smaller_runs_after_a_long_record(self):
+        # A wrapping plan, whose mask covers three periods of its record, and
+        # a shortcut that falls back because it has more peaks than the
+        # node-matrix cap, after a 2^20-sample record in the same thread.
+        long_cfg = HybridConfig(u=16, s=5, M=8, resolver="bezout",
+                                shortcut_shifted=True)
+        long_x = _on_grid_record(2 ** 20, long_cfg, [(9001, 1.0)])
+        wrap_x = tone_signal([(312.5, 1.0), (625.0, 0.8), (101.25, 0.9j)],
+                             1000.0, 1000)
+        wrap_cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2,
+                                stream_len=40, wrap=True)
+        rng = np.random.default_rng(3)
+        bins = rng.choice(1997, size=600, replace=False)
+        cap_x = ComplexSignal(
+            samples=(np.exp(2j * np.pi * rng.random(600))[:, None]
+                     * np.exp(2j * np.pi * bins[:, None]
+                              * np.arange(2000) / 1997)).sum(0),
+            rate_hz=2000.0)
+        cap_cfg = HybridConfig(u=1, s=1, M=4, threshold=0.0,
+                               shortcut_shifted=True)
+
+        def smaller():
+            return [analyze(wrap_x, wrap_cfg), analyze(cap_x, cap_cfg)]
+
+        def after_long():
+            assert len(analyze(long_x, long_cfg).components) == 1
+            return smaller()
+
+        expected = _in_new_thread(smaller)
+        results = _in_new_thread(after_long)
+        assert [_outputs(r) for r in results] == [_outputs(r)
+                                                  for r in expected]
+        wrapped, capped = results
+        assert wrapped.diagnostics["samples_used"] == 240
+        assert len(wrapped.components) == 6
+        assert capped.diagnostics["shortcut_fallbacks"] == 3
+        assert len(capped.components) == 600
 
 
 class TestRobustness:
