@@ -9,9 +9,9 @@ resolution against the coprime shift step, and a final merge onto the
 fine grid. Candidates are the reference bins that reach both the
 ``threshold`` and sigma * sqrt(ln 10), which noise alone does in 0.1 of
 the bins. The shifted streams' coefficients are taken at the candidates,
-and a candidate is confirmed when its mean power over all M streams
-reaches a level noise alone exceeds in about 0.01 bins per record, counting
-only the min(M, u) streams whose samples do not overlap as independent.
+and a candidate is confirmed when its mean power over the first min(M, u)
+streams, whose samples do not overlap, reaches a level noise alone exceeds
+in about 0.01 bins per record.
 The samples read are marked through the same view in a boolean mask. With
 the shortcut, one K-sample Vandermonde solve stands in for the peak-bin
 DFTs of all shifted streams; when its node matrix is too ill-conditioned, too
@@ -101,12 +101,11 @@ class HybridConfig:
     reference spectrum, in two stages. A reference bin is a candidate when
     its magnitude reaches both ``threshold`` * n and sigma * sqrt(ln 10),
     which noise alone does in ``CANDIDATE_FALSE_ALARM`` = 0.1 of the bins.
-    A candidate is confirmed when the mean of |X_m|^2 over all M streams
-    reaches sigma^2 times the Gamma(k, 1/k) quantile at
-    1 - ``CONFIRM_FALSE_ALARM`` / n, so noise alone confirms about 0.01
-    bins per record. k = min(M, u) counts the streams that read disjoint
-    samples: stream m + u is stream m shifted by s, so when M > u the mean
-    is taken within each class m mod u first, then over the u classes.
+    A candidate is confirmed when the mean of |X_m|^2 over the first
+    k = min(M, u) streams reaches sigma^2 times the Gamma(k, 1/k) quantile
+    at 1 - ``CONFIRM_FALSE_ALARM`` / n, so noise alone confirms about 0.01
+    bins per record. Those k streams read disjoint samples; stream m + u is
+    stream m shifted by s and repeats its noise, so it is left out.
     ``select_peaks`` drops peaks under ``PEAK_FLOOR_REL`` of the largest,
     ``estimate_order`` counts a confirmed bin's tones above sigma, pencil
     roots count within ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries
@@ -381,18 +380,15 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     if rows is not None:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], candidates)
 
-    # Confirm on all M streams. Stream m + u reads the samples of stream m
-    # shifted by s, so only the k = min(M, u) classes m mod u hold
-    # independent noise: when M > u the power is averaged within each class
-    # first. The rms is compared in amplitude units, so that sigma is never
-    # squared, and a NaN or overflowing bin is kept to fail on its own.
+    # Confirm on the first k = min(M, u) streams. They read disjoint
+    # samples (gcd(u, s) = 1); stream m + u reads stream m's samples shifted
+    # by s and would repeat its noise. The rms is compared in amplitude
+    # units, so that sigma is never squared, and a NaN or overflowing bin is
+    # kept to fail on its own.
     k = min(cfg.M, cfg.u)
-    power = np.square(np.abs(coeffs))
-    if k < cfg.M:
-        power = np.array([power[c::k].mean(0) for c in range(k)])
     level = noise * math.sqrt(noise_power_quantile(
         k, CONFIRM_FALSE_ALARM / n))
-    drop = np.sqrt(power.sum(0) / k) < level
+    drop = np.sqrt(np.square(np.abs(coeffs[:k])).sum(0) / k) < level
     peak_bins = candidates
     if drop.any():
         coeffs = coeffs[:, ~drop]
