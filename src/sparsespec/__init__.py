@@ -62,9 +62,7 @@ from .pipeline import (
     shifted_coeffs_shortcut,
 )
 from .prony import (
-    ExponentialTerm,
     OrderEstimate,
-    PronySequence,
     estimate_order,
     hankel,
     model_residual,
@@ -84,7 +82,6 @@ __all__ = [
     "EXPERIMENT_2_MUS",
     "EXPERIMENT_2_REFERENCE_SAMPLES",
     "EvalReport",
-    "ExponentialTerm",
     "Generator",
     "HybridConfig",
     "IllConditionedPencil",
@@ -97,7 +94,6 @@ __all__ = [
     "NoUniqueIntersection",
     "OrderEstimate",
     "PeakList",
-    "PronySequence",
     "RecoveredComponent",
     "SparseSpecError",
     "SparseSpectrum",

@@ -26,7 +26,6 @@ through the hybrid chain or the dense reference.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from collections.abc import Sequence
@@ -67,8 +66,6 @@ from .errors import (
 )
 from .prony import (
     SVD_DIM_CAP,
-    ExponentialTerm,
-    PronySequence,
     estimate_noise,
     estimate_order,
     model_residual,
@@ -107,10 +104,12 @@ class HybridConfig:
     bins per record. Those k streams read disjoint samples; stream m + u is
     stream m shifted by s and repeats its noise, so it is left out.
     ``select_peaks`` drops peaks under ``PEAK_FLOOR_REL`` of the largest,
-    ``estimate_order`` counts a confirmed bin's tones above sigma, pencil
-    roots count within ``DEFAULT_UNIT_TOL`` of the unit circle, recoveries
-    merge within half a fine bin, and ``resolve_cycles`` fixes the
-    alias-pairing tolerances.
+    ``estimate_order`` counts a confirmed bin's tones above sigma on the
+    Hankel of its M coefficients, ``pencil_decompose`` fits at most
+    max(1, (M - 1) // 2) of them (one at M = 2, the ratio P(1) / P(0)),
+    pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit circle,
+    recoveries merge within half a fine bin, and ``resolve_cycles`` fixes
+    the alias-pairing tolerances.
     """
 
     u: int
@@ -171,15 +170,14 @@ class SparseSpectrum:
     diagnostics: dict = field(default_factory=dict)
 
 
-def build_prony_sequences(coeffs: np.ndarray, bins: list[int],
-                          shift_step: int) -> dict[int, PronySequence]:
-    """P(m) = coeffs[m, j] down the stream axis, keyed by the j-th bin.
+def build_prony_sequences(coeffs: np.ndarray,
+                          bins: list[int]) -> dict[int, np.ndarray]:
+    """p[m] = coeffs[m, j] down the stream axis, keyed by the j-th bin.
 
-    ``coeffs`` holds the M stream DFT values at ``bins``, one column each.
+    ``coeffs`` holds the M stream DFT values at ``bins``, one column each;
+    each sequence is a contiguous copy of its column.
     """
-    return {b: PronySequence(values=coeffs[:, j].copy(),
-                             shift_step=shift_step)
-            for j, b in enumerate(bins)}
+    return {b: coeffs[:, j].copy() for j, b in enumerate(bins)}
 
 
 def shifted_coeffs_shortcut(
@@ -226,18 +224,6 @@ def shifted_coeffs_shortcut(
                 f"{SHORTCUT_CONDITION_CAP:.0e}")
         values = n * np.linalg.solve(vand, rhs).T
     return (values if np.ndim(m) else values[0]), cond
-
-
-def _two_sample_terms(seq: PronySequence) -> list[ExponentialTerm]:
-    # With only two streams the ratio P(1)/P(0) is the whole model; this is
-    # the no-collision fallback when a pencil cannot be formed.
-    p0, p1 = complex(seq.values[0]), complex(seq.values[1])
-    if p0 == 0:
-        raise IllConditionedPencil("reference coefficient is zero")
-    z = p1 / p0
-    if z == 0 or not cmath.isfinite(z):
-        raise IllConditionedPencil(f"two-stream ratio {z} is not usable")
-    return [ExponentialTerm(amplitude=p0, z=z)]
 
 
 def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
@@ -393,46 +379,43 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     if drop.any():
         coeffs = coeffs[:, ~drop]
         peak_bins = [b for b, d in zip(candidates, drop.tolist()) if not d]
-    sequences = build_prony_sequences(coeffs, peak_bins, cfg.s)
+    sequences = build_prony_sequences(coeffs, peak_bins)
 
     components: list[RecoveredComponent] = []
     bin_reports: list[dict] = []
     bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
 
     for b in peak_bins:
-        seq = sequences[b]
+        p = sequences[b]
         z_u = complex(np.exp(2j * np.pi * b / n))
         a_u = angle_cycles(z_u)
         report = {"bin": b, "rank": 0, "gap": math.inf, "kept": 0,
                   "residual": 0.0, "error": None, "singular_values": [],
-                  "sequence": seq.values.tolist()}
+                  "sequence": p.tolist()}
         bin_reports.append(report)
         try:
-            if cfg.M == 2:
-                report["rank"] = 1
-                terms = _two_sample_terms(seq)
-            else:
-                est = estimate_order(seq, noise)
-                report.update(rank=est.rank, gap=est.gap_ratio,
-                              singular_values=est.singular_values.tolist())
-                if est.rank == 0:
-                    continue
-                terms = pencil_decompose(seq, min((cfg.M - 1) // 2, est.rank))
-            residual = report["residual"] = model_residual(seq, terms)
-            kept = [t for t in terms
-                    if abs(abs(t.z) - 1.0) <= DEFAULT_UNIT_TOL]
-            for term in kept:
+            est = estimate_order(p, noise)
+            report.update(rank=est.rank, gap=est.gap_ratio,
+                          singular_values=est.singular_values.tolist())
+            if est.rank == 0:
+                continue
+            zs, amps = pencil_decompose(
+                p, min(max(1, (cfg.M - 1) // 2), est.rank))
+            residual = report["residual"] = model_residual(p, zs, amps)
+            kept = [(z, amp) for z, amp in zip(zs.tolist(), amps.tolist())
+                    if abs(abs(z) - 1.0) <= DEFAULT_UNIT_TOL]
+            for z, amp in kept:
                 if cfg.resolver == "bezout":
                     freq, _ = resolve_bezout(
                         Generator(value=z_u, step=cfg.u),
-                        Generator(value=term.z, step=cfg.s), bez, rate)
+                        Generator(value=z, step=cfg.s), bez, rate)
                     dist = 0.0
                 else:
                     freq, dist = resolve_cycles(
-                        a_u, cfg.u, angle_cycles(term.z), cfg.s, rate)
+                        a_u, cfg.u, angle_cycles(z), cfg.s, rate)
                 components.append(RecoveredComponent(
                     freq_hz=float(freq),
-                    amplitude=complex(term.amplitude) / n,
+                    amplitude=amp / n,
                     source_bin=int(b),
                     collision_order=len(kept),
                     match_distance_hz=float(dist),

@@ -1,9 +1,11 @@
 """Exponential-sum analysis of short coefficient sequences.
 
-A collision bin observed across M shifted streams yields a sequence
-P(m) = sum_i a_i * z_i^m with one term per colliding component. The matrix
-pencil on a Hankel arrangement of P recovers the per-step ratios z_i and the
-amplitudes a_i; the Hankel singular values count the components.
+A peak bin observed across M shifted streams yields the 1-d array
+p[m] = sum_i a_i * z_i^m, M >= 2 values with one term per colliding
+component. The matrix pencil on a Hankel arrangement of p recovers the
+per-step ratios z_i and the amplitudes a_i as two arrays; the Hankel
+singular values count the components. Two values make a 1 x 2 Hankel and
+an order-1 pencil, whose ratio is p[1] / p[0].
 
 Every SVD is one guarded LAPACK call, ``svd_small`` or, where only the
 singular values are read, ``singular_values``: both refuse non-finite
@@ -29,46 +31,6 @@ _Z_SANITY_CAP = 1e6
 
 
 @dataclass(frozen=True)
-class PronySequence:
-    """Per-stream coefficient values P(m) taken at one bin.
-
-    ``shift_step`` is the grid-sample distance between successive entries,
-    i.e. the shift s of the stream scheme. A q-term decomposition needs at
-    least 2q + 1 entries.
-    """
-
-    values: np.ndarray
-    shift_step: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a Prony sequence needs at least 2 values")
-        if self.shift_step < 1:
-            raise ValueError("shift_step must be a positive integer")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class ExponentialTerm:
-    """One recovered term amplitude * z^m of an exponential sum."""
-
-    amplitude: complex
-    z: complex
-
-    def __post_init__(self):
-        if self.z == 0:
-            raise ValueError("term ratio z must be nonzero")
-
-    @property
-    def energy(self) -> float:
-        return abs(self.amplitude)
-
-
-@dataclass(frozen=True)
 class OrderEstimate:
     """Model-order reading off the Hankel singular values."""
 
@@ -77,14 +39,18 @@ class OrderEstimate:
     gap_ratio: float
 
 
-def hankel(seq: PronySequence, rows: int) -> np.ndarray:
-    """Hankel arrangement H[i, k] = P(i + k), shape rows x (M - rows + 1)."""
-    m = len(seq)
-    if not 1 <= rows <= m:
-        raise BadShape(f"rows={rows} outside 1..{m}")
-    cols = m - rows + 1
-    idx = np.arange(rows)[:, None] + np.arange(cols)[None, :]
-    return seq.values[idx]
+def hankel(p: np.ndarray, rows: int) -> np.ndarray:
+    """Hankel arrangement H[i, k] = p[i + k] of the M values of p, shape
+    rows x (M - rows + 1). Raises BadShape unless p is 1-d with M >= 2 and
+    1 <= rows <= M; every fit reads its sequence through here."""
+    p = np.asarray(p, dtype=np.complex128)
+    if p.ndim != 1 or p.size < 2:
+        raise BadShape("a sequence is 1-d with 2 or more values, not "
+                       f"shape {p.shape}")
+    if not 1 <= rows <= p.size:
+        raise BadShape(f"rows={rows} outside 1..{p.size}")
+    idx = np.arange(rows)[:, None] + np.arange(p.size - rows + 1)[None, :]
+    return p[idx]
 
 
 def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,21 +100,21 @@ def estimate_noise(spectrum: np.ndarray) -> float:
     return float(mags[mid] / math.sqrt(math.log(2.0)))
 
 
-def estimate_order(seq: PronySequence, noise_sigma: float) -> OrderEstimate:
-    """Count meaningful components from the Hankel singular spectrum.
+def estimate_order(p: np.ndarray, noise_sigma: float) -> OrderEstimate:
+    """Count meaningful components from the Hankel singular spectrum of p.
 
     The rank counts the singular values at or above both the noise edge
     ``NOISE_EDGE_FACTOR * noise_sigma * (sqrt(r) + sqrt(c))`` of the r x c
     Hankel and ``RANK_FLOOR_REL`` times the largest (rounding on exact
     data). ``noise_sigma`` is one value's noise deviation, as from
     :func:`estimate_noise`. The ratio across the cut is reported so callers
-    can judge how clear the detection was.
+    can judge how clear the detection was. Two values give a 1 x 2 Hankel,
+    whose one singular value is the 2-norm of p. Raises BadShape as
+    :func:`hankel` does and NoConvergence as :func:`svd_small` does.
     """
-    m = len(seq)
-    if m < 3:
-        raise BadShape("order estimation needs at least 3 sequence values")
+    m = np.size(p)
     rows = (m + 1) // 2
-    sigma = singular_values(hankel(seq, rows))
+    sigma = singular_values(hankel(p, rows))
     if sigma[0] <= 0.0:
         return OrderEstimate(rank=0, singular_values=sigma, gap_ratio=math.inf)
     edge = NOISE_EDGE_FACTOR * noise_sigma * (
@@ -161,28 +127,31 @@ def estimate_order(seq: PronySequence, noise_sigma: float) -> OrderEstimate:
     return OrderEstimate(rank=rank, singular_values=sigma, gap_ratio=gap)
 
 
-def pencil_decompose(seq: PronySequence,
-                     fit_order: int) -> list[ExponentialTerm]:
-    """Matrix-pencil decomposition of P into ``fit_order`` exponential terms.
+def pencil_decompose(p: np.ndarray,
+                     fit_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix-pencil decomposition of p into ``fit_order`` exponential terms.
 
     Two shifted Hankel blocks H0 and H1 are projected onto the leading
     ``fit_order`` singular directions of H0; the eigenvalues of the reduced
     pencil are the per-step ratios z_i, and a least-squares Vandermonde fit
-    against the full sequence recovers the amplitudes. Terms come back sorted
-    by descending |amplitude|. Fitting more terms than the sequence truly has
-    is supported; the surplus terms carry negligible amplitude or fall off
-    the unit circle.
+    against the full sequence recovers the amplitudes. Returns the arrays
+    (zs, amps), sorted by descending |amplitude|. ``fit_order`` runs from 1
+    to max(1, (M - 1) // 2): two values fit one term. Fitting more terms
+    than the sequence truly has is supported; the surplus terms carry
+    negligible amplitude or fall off the unit circle.
 
     Raises:
+        BadShape: as :func:`hankel`.
+        ValueError: ``fit_order`` out of range.
         NoConvergence: an SVD failed (see :func:`svd_small`).
         IllConditionedPencil: reduced pencil numerically singular (condition
             beyond 1e12) or the sequence is identically zero.
     """
-    m = len(seq)
-    if not 1 <= fit_order <= (m - 1) // 2:
-        raise ValueError(
-            f"fit_order={fit_order} outside 1..{(m - 1) // 2} for M={m}")
-    full = hankel(seq, (m + 1) // 2)
+    m = np.size(p)
+    full = hankel(p, (m + 1) // 2)
+    top = max(1, (m - 1) // 2)
+    if not 1 <= fit_order <= top:
+        raise ValueError(f"fit_order={fit_order} outside 1..{top} for M={m}")
     h0 = full[:, :-1]
     h1 = full[:, 1:]
     u, sigma, v = svd_small(h0)
@@ -206,19 +175,16 @@ def pencil_decompose(seq: PronySequence,
     if zs.size == 0:
         raise IllConditionedPencil("no usable pencil eigenvalues")
     vand = zs[None, :] ** np.arange(m)[:, None]
-    amps, *_ = np.linalg.lstsq(vand, seq.values, rcond=None)
+    amps, *_ = np.linalg.lstsq(vand, p, rcond=None)
     order = np.argsort(-np.abs(amps), kind="stable")
-    return [ExponentialTerm(amplitude=complex(amps[i]), z=complex(zs[i]))
-            for i in order]
+    return zs[order], amps[order]
 
 
-def model_residual(seq: PronySequence, terms: list[ExponentialTerm]) -> float:
-    """Relative l2 misfit of the term model against the sequence."""
-    amps = np.array([term.amplitude for term in terms], dtype=np.complex128)
-    zs = np.array([term.z for term in terms], dtype=np.complex128)
+def model_residual(p: np.ndarray, zs: np.ndarray, amps: np.ndarray) -> float:
+    """Relative l2 misfit of the terms amps[i] * zs[i]^m against p."""
     # Summed over axis 0, term after term, as a running sum would.
-    model = (amps[:, None] * zs[:, None] ** np.arange(len(seq))).sum(axis=0)
-    denom = np.linalg.norm(seq.values)
+    model = (amps[:, None] * zs[:, None] ** np.arange(len(p))).sum(axis=0)
+    denom = np.linalg.norm(p)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(seq.values - model) / denom)
+    return float(np.linalg.norm(p - model) / denom)

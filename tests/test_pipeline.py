@@ -308,6 +308,54 @@ class TestAnalyze:
             assert a.freq_hz == pytest.approx(b.freq_hz, abs=1e-6)
 
 
+class TestTwoStreams:
+    """M = 2 end to end: seeded on-grid records of three tones on distinct
+    stream bins, at strides u in {3, 4, 5, 7} and a 1 Hz fine grid."""
+
+    @staticmethod
+    def runs(seed, sigma, count=200):
+        rng = np.random.default_rng(seed)
+        n = 64
+        for _ in range(count):
+            u = int(rng.choice([3, 4, 5, 7]))
+            s = int(rng.choice([v for v in range(1, 2 * u)
+                                if math.gcd(u, v) == 1]))
+            rate = float(u * n)
+            bins = rng.choice(n, 3, replace=False)
+            freqs = (bins + n * rng.integers(0, u, 3)).astype(float)
+            amps = (rng.uniform(0.5, 1.5, 3)
+                    * np.exp(2j * np.pi * rng.random(3)))
+            x = tone_signal(zip(freqs, amps), rate, u * n + s).samples
+            x = x + sigma / math.sqrt(2) * (rng.standard_normal(x.size)
+                                            + 1j * rng.standard_normal(x.size))
+            res = analyze(ComplexSignal(samples=x, rate_hz=rate), HybridConfig(
+                u=u, s=s, M=2, threshold=0.2, stream_len=n))
+            yield rate, list(zip(freqs, amps)), res
+
+    def test_noise_free_tones_exact(self):
+        for rate, tones, res in self.runs(seed=20, sigma=0.0):
+            assert len(res.components) == len(tones)
+            for freq, amp in tones:
+                comp = min(res.components, key=lambda c: circular_distance_hz(
+                    c.freq_hz, freq, rate))
+                assert circular_distance_hz(comp.freq_hz, freq, rate) <= 1e-9
+                assert abs(comp.amplitude - amp) <= 1e-9
+
+    def test_noisy_recall_and_precision(self):
+        # Per-sample complex noise of deviation 0.1 against amplitudes
+        # 0.5-1.5: a tone counts as found within half a fine bin.
+        found = tones_total = components = 0
+        for rate, tones, res in self.runs(seed=21, sigma=0.1):
+            tones_total += len(tones)
+            components += len(res.components)
+            found += sum(
+                any(circular_distance_hz(c.freq_hz, freq, rate) <= 0.5
+                    for c in res.components)
+                for freq, _ in tones)
+        assert found / tones_total >= 0.85
+        assert found / components >= 0.85
+
+
 class TestDenseReference:
     def test_two_tone_support(self):
         x = tone_signal([(125.0, 1.0), (165.0, np.exp(1j * np.pi / 3))],
@@ -505,14 +553,26 @@ class TestDiagnostics:
         ranks = {r["bin"]: r["rank"] for r in d["bin_reports"]}
         assert ranks[4] == 3
 
-    def test_no_singular_values_without_order_estimate(self):
-        # Two streams fit the ratio P(1)/P(0); no Hankel is formed.
-        x = tone_signal([(5.0, 1.0)], 32.0, 33)
-        res = analyze(x, HybridConfig(u=1, s=1, M=2, threshold=0.3,
-                                      stream_len=32))
+    def test_two_stream_reports_one_singular_value(self):
+        # Two streams count the order on a 1 x 2 Hankel, whose one singular
+        # value is the 2-norm of the bin's two coefficients: 16 * sqrt(2)
+        # for the unit tone of the README's three-tone record (fine
+        # bin 250, stream bin 10 at stream length 16).
+        spec = SynthSpec(tones=(ToneSpec(312.5, 1.0), ToneSpec(625.0, 0.8),
+                                ToneSpec(101.25, 0.9j)),
+                         rate_hz=1000.0, length=1000)
+        res = analyze(synthesize(spec), HybridConfig(
+            u=50, s=17, M=2, threshold=0.2, stream_len=16))
         reports = res.diagnostics["bin_reports"]
-        assert reports
-        assert all(r["singular_values"] == [] for r in reports)
+        assert len(reports) == 3
+        for report in reports:
+            assert report["rank"] == 1
+            (sigma,) = report["singular_values"]
+            assert sigma == pytest.approx(np.linalg.norm(report["sequence"]),
+                                          rel=1e-12)
+        (unit,) = [r for r in reports if r["bin"] == 10]
+        assert unit["singular_values"][0] == pytest.approx(
+            16 * math.sqrt(2), rel=1e-12)
 
 
 class TestPeakDetection:
@@ -591,9 +651,9 @@ class TestBatchedStreams:
             seen["ref"] = spectrum.bins.copy()
             return select_peaks(spectrum, threshold)
 
-        def capture_coeffs(coeffs, bins, shift_step):
+        def capture_coeffs(coeffs, bins):
             seen["coeffs"] = coeffs.copy()
-            return build(coeffs, bins, shift_step)
+            return build(coeffs, bins)
 
         def forced_fallback(x, peaks, spec, m):
             if forced:

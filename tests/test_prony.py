@@ -6,9 +6,7 @@ import pytest
 
 from sparsespec import (
     BadShape,
-    ExponentialTerm,
     NoConvergence,
-    PronySequence,
     estimate_order,
     hankel,
     model_residual,
@@ -23,12 +21,12 @@ from sparsespec.prony import (
 )
 
 
-def sequence_of(terms, m, shift_step=1):
+def sequence_of(terms, m):
     idx = np.arange(m)
     vals = np.zeros(m, dtype=np.complex128)
     for amp, z in terms:
         vals += amp * z ** idx
-    return PronySequence(values=vals, shift_step=shift_step)
+    return vals
 
 
 def angle_distance(a, b):
@@ -38,8 +36,7 @@ def angle_distance(a, b):
 
 class TestHankel:
     def test_layout(self):
-        seq = PronySequence(values=np.arange(1, 6, dtype=np.complex128),
-                            shift_step=1)
+        seq = np.arange(1, 6, dtype=np.complex128)
         h = hankel(seq, 3)
         assert np.array_equal(h, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
@@ -58,12 +55,21 @@ class TestHankel:
         assert sv[2] / sv[0] <= 1e-12
 
     def test_bad_rows_rejected(self):
-        seq = PronySequence(values=np.ones(5, dtype=np.complex128),
-                            shift_step=1)
+        seq = np.ones(5, dtype=np.complex128)
         with pytest.raises(BadShape):
             hankel(seq, 0)
         with pytest.raises(BadShape):
             hankel(seq, 6)
+        # A 2-d array or a single value is no sequence: every fit reads
+        # its input through hankel, which raises BadShape.
+        for bad in (np.ones((3, 4), dtype=np.complex128),
+                    np.ones(1, dtype=np.complex128)):
+            with pytest.raises(BadShape):
+                hankel(bad, 1)
+            with pytest.raises(BadShape):
+                estimate_order(bad, 0.0)
+            with pytest.raises(BadShape):
+                pencil_decompose(bad, 1)
 
 
 class TestSvdSmall:
@@ -184,15 +190,19 @@ class TestEstimateOrder:
             assert est.gap_ratio >= 1e8
 
     def test_zero_sequence(self):
-        seq = PronySequence(values=np.zeros(8, dtype=np.complex128),
-                            shift_step=1)
+        seq = np.zeros(8, dtype=np.complex128)
         assert estimate_order(seq, 0.0).rank == 0
 
     def test_too_short_rejected(self):
-        seq = PronySequence(values=np.ones(2, dtype=np.complex128),
-                            shift_step=1)
         with pytest.raises(BadShape):
-            estimate_order(seq, 0.0)
+            estimate_order(np.ones(1, dtype=np.complex128), 0.0)
+        with pytest.raises(BadShape):
+            pencil_decompose(np.ones(1, dtype=np.complex128), 1)
+        # Two values are the shortest sequence: a 1 x 2 Hankel whose one
+        # singular value is the sequence's 2-norm.
+        est = estimate_order(np.array([3.0, 4.0j]), 0.0)
+        assert est.rank == 1
+        assert est.singular_values == pytest.approx([5.0])
 
     def test_noise_only_gives_rank_zero(self):
         # Circular Gaussian noise of known sigma: the largest Hankel
@@ -202,8 +212,7 @@ class TestEstimateOrder:
             for _ in range(100):
                 vals = 0.3 * (rng.standard_normal(m)
                               + 1j * rng.standard_normal(m)) / math.sqrt(2)
-                seq = PronySequence(values=vals, shift_step=1)
-                assert estimate_order(seq, 0.3).rank == 0
+                assert estimate_order(vals, 0.3).rank == 0
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_rank_is_scale_free(self, scale):
@@ -214,10 +223,10 @@ class TestEstimateOrder:
             amps = rng.uniform(0.1, 2, q) * np.exp(2j * np.pi * rng.random(q))
             zs = np.exp(2j * np.pi * rng.random(q))
             noise = float(rng.choice([0.0, 1e-3, 0.1]))
-            vals = sequence_of(list(zip(amps, zs)), m).values + noise * (
+            vals = sequence_of(list(zip(amps, zs)), m) + noise * (
                 rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            want = estimate_order(PronySequence(vals, 1), noise).rank
-            scaled = PronySequence(vals * scale, 1)
+            want = estimate_order(vals, noise).rank
+            scaled = vals * scale
             assert estimate_order(scaled, noise * scale).rank == want
 
     def test_rank_matches_full_svd(self):
@@ -229,11 +238,10 @@ class TestEstimateOrder:
             q = int(rng.integers(1, 6))
             amps = rng.uniform(0.1, 2, q) * np.exp(2j * np.pi * rng.random(q))
             zs = np.exp(2j * np.pi * rng.random(q))
-            vals = sequence_of(list(zip(amps, zs)), m).values
+            vals = sequence_of(list(zip(amps, zs)), m)
             noise = float(rng.choice([0.0, 1e-6, 1e-2]))
-            vals = vals + noise * (
+            seq = vals + noise * (
                 rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            seq = PronySequence(values=vals, shift_step=1)
             rows = (m + 1) // 2
             _, full, _ = svd_small(hankel(seq, rows))
             edge = NOISE_EDGE_FACTOR * noise * math.sqrt(2) * (
@@ -245,7 +253,7 @@ class TestEstimateOrder:
     def test_singular_values_descending(self):
         rng = np.random.default_rng(8)
         vals = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        est = estimate_order(PronySequence(values=vals, shift_step=1), 0.0)
+        est = estimate_order(vals, 0.0)
         assert np.all(np.diff(est.singular_values) <= 1e-12)
 
 
@@ -267,10 +275,10 @@ class TestPencilDecompose:
     def test_single_tone_exact(self):
         z = np.exp(2j * np.pi * 0.3)
         seq = sequence_of([(2 + 1j, z)], 12)
-        terms = pencil_decompose(seq, 1)
-        assert len(terms) == 1
-        assert abs(terms[0].amplitude - (2 + 1j)) <= 1e-10
-        assert abs(terms[0].z - z) <= 1e-10
+        zs, amps = pencil_decompose(seq, 1)
+        assert len(zs) == len(amps) == 1
+        assert abs(amps[0] - (2 + 1j)) <= 1e-10
+        assert abs(zs[0] - z) <= 1e-10
 
     def test_collision_pair_exact(self):
         # Two tones that collide on one undersampled bin: per-stream ratio
@@ -278,21 +286,21 @@ class TestPencilDecompose:
         z1 = np.exp(2j * np.pi * 125 * 17 / 1000)
         z2 = np.exp(2j * np.pi * 165 * 17 / 1000)
         a1, a2 = 1.0 + 0j, np.exp(1j * np.pi / 3)
-        seq = sequence_of([(a1, z1), (a2, z2)], 12, shift_step=17)
-        terms = pencil_decompose(seq, 2)
-        got = sorted(terms, key=lambda t: np.angle(t.z))
+        seq = sequence_of([(a1, z1), (a2, z2)], 12)
+        zs, amps = pencil_decompose(seq, 2)
+        got = sorted(zip(zs, amps), key=lambda t: np.angle(t[0]))
         want = sorted([(a1, z1), (a2, z2)], key=lambda p: np.angle(p[1]))
-        for term, (amp, z) in zip(got, want):
-            assert abs(term.z - z) <= 1e-8
-            assert abs(term.amplitude - amp) <= 1e-8
+        for (got_z, got_amp), (amp, z) in zip(got, want):
+            assert abs(got_z - z) <= 1e-8
+            assert abs(got_amp - amp) <= 1e-8
 
     def test_overfit_extra_term_is_tiny(self):
         z1 = np.exp(2j * np.pi * 125 * 17 / 1000)
         z2 = np.exp(2j * np.pi * 165 * 17 / 1000)
         seq = sequence_of([(1.0, z1), (np.exp(1j * np.pi / 3), z2)], 12)
-        terms = pencil_decompose(seq, 3)
-        assert len(terms) <= 3
-        mags = sorted((abs(t.amplitude) for t in terms), reverse=True)
+        zs, amps = pencil_decompose(seq, 3)
+        assert len(zs) == len(amps) <= 3
+        mags = sorted(np.abs(amps), reverse=True)
         assert mags[0] == pytest.approx(1.0, abs=1e-7)
         if len(mags) == 3:
             assert mags[2] <= 1e-8
@@ -319,20 +327,20 @@ class TestPencilDecompose:
             amps = (rng.uniform(0.5, 1.5, size=q)
                     * np.exp(2j * np.pi * rng.uniform(0, 1, size=q)))
             seq = sequence_of(list(zip(amps, zs)), 2 * q + 6)
-            terms = pencil_decompose(seq, q)
-            assert len(terms) == q
+            got_zs, got_amps = pencil_decompose(seq, q)
+            assert len(got_zs) == q
             est = estimate_order(seq, 0.0)
             assert est.rank == q
             assert est.gap_ratio >= 1e8
-            assert model_residual(seq, terms) <= 1e-9
+            assert model_residual(seq, got_zs, got_amps) <= 1e-9
             used = set()
             for k in range(q):
-                dists = [abs(t.z - zs[k]) if i not in used else np.inf
-                         for i, t in enumerate(terms)]
+                dists = [abs(z - zs[k]) if i not in used else np.inf
+                         for i, z in enumerate(got_zs)]
                 i = int(np.argmin(dists))
                 used.add(i)
-                assert abs(terms[i].z - zs[k]) <= 1e-7
-                assert abs(terms[i].amplitude - amps[k]) <= 1e-7
+                assert abs(got_zs[i] - zs[k]) <= 1e-7
+                assert abs(got_amps[i] - amps[k]) <= 1e-7
 
     def test_noise_absorption(self):
         # At SNR 30 the overfit q=4 pencil (keep top-2 energy) localizes
@@ -340,20 +348,20 @@ class TestPencilDecompose:
         rng = np.random.default_rng(10)
         z_true = [np.exp(2j * np.pi * 0.13), np.exp(2j * np.pi * 0.49)]
         amps = [1.0, np.exp(1j * np.pi / 3)]
-        clean = sequence_of(list(zip(amps, z_true)), 12).values
+        clean = sequence_of(list(zip(amps, z_true)), 12)
         power = np.mean(np.abs(clean) ** 2)
         sigma = math.sqrt(power / 10 ** 3.0)
         errs = {2: [], 4: []}
         for _ in range(200):
             noise = sigma / math.sqrt(2) * (
                 rng.standard_normal(12) + 1j * rng.standard_normal(12))
-            seq = PronySequence(values=clean + noise, shift_step=1)
+            seq = clean + noise
             for q in (2, 4):
-                terms = sorted(pencil_decompose(seq, q),
-                               key=lambda t: -t.energy)[:2]
+                # Sorted by descending |amplitude|: the top-2 energy terms.
+                top = pencil_decompose(seq, q)[0][:2]
                 trial = 0.0
                 for z in z_true:
-                    trial += min(angle_distance(t.z, z) for t in terms)
+                    trial += min(angle_distance(t, z) for t in top)
                 errs[q].append(trial)
         assert np.median(errs[4]) < np.median(errs[2])
 
@@ -364,26 +372,17 @@ class TestPencilDecompose:
         for _ in range(200):
             m = int(rng.integers(3, 29))
             vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            seq = PronySequence(values=vals, shift_step=1)
-            terms = [ExponentialTerm(amplitude=complex(a), z=complex(z))
-                     for a, z in zip(
-                         rng.standard_normal(5) + 1j * rng.standard_normal(5),
-                         np.exp(rng.uniform(-0.2, 0.2, 5)
-                                + 2j * np.pi * rng.random(5)))
-                     ][:int(rng.integers(0, 6))]
+            amps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            zs = np.exp(rng.uniform(-0.2, 0.2, 5) + 2j * np.pi * rng.random(5))
+            q = int(rng.integers(0, 6))
+            amps, zs = amps[:q], zs[:q]
             model = np.zeros(m, dtype=np.complex128)
-            for term in terms:
-                model += term.amplitude * np.asarray(
-                    term.z, dtype=np.complex128) ** np.arange(m)
+            for amp, z in zip(amps, zs):
+                model += amp * z ** np.arange(m)
             want = float(np.linalg.norm(vals - model) / np.linalg.norm(vals))
-            assert model_residual(seq, terms) == want
+            assert model_residual(vals, zs, amps) == want
 
     def test_residual_of_empty_model(self):
         seq = sequence_of([(1.0, 1j)], 8)
-        assert model_residual(seq, []) == pytest.approx(1.0)
-
-
-class TestNoCollisionTest:
-    def test_term_energy(self):
-        t = ExponentialTerm(amplitude=3 + 4j, z=1j)
-        assert t.energy == pytest.approx(5.0)
+        none = np.empty(0, dtype=np.complex128)
+        assert model_residual(seq, none, none) == pytest.approx(1.0)
