@@ -22,7 +22,6 @@ from .aliasing import (
 )
 from .core import (
     ComplexSignal,
-    PeakList,
     Spectrum,
     StreamSet,
     StreamSpec,
@@ -93,7 +92,6 @@ __all__ = [
     "NotCoprime",
     "NoUniqueIntersection",
     "OrderEstimate",
-    "PeakList",
     "RecoveredComponent",
     "SparseSpecError",
     "SparseSpectrum",

@@ -166,23 +166,6 @@ class StreamSet:
         return len(self.streams)
 
 
-@dataclass(frozen=True)
-class PeakList:
-    """Bins whose magnitude reached the selection threshold.
-
-    Entries are (bin_index, magnitude), sorted by descending magnitude with
-    ties broken by ascending bin index.
-    """
-
-    entries: tuple[tuple[int, float], ...]
-
-    def bin_indices(self) -> list[int]:
-        return [b for b, _ in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def synthesize(spec: SynthSpec) -> ComplexSignal:
     """Sum of tones x_l = sum_i alpha_i exp(2i pi mu_i l / R), plus noise.
 
@@ -318,8 +301,8 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
         for m, row in enumerate(rows)), spec=spec)
 
 
-def select_peaks(spectrum: Spectrum, threshold: float) -> PeakList:
-    """All bins with |X_j| >= threshold, strongest first.
+def select_peaks(spectrum: Spectrum, threshold: float) -> list[int]:
+    """The indices of all bins with |X_j| >= threshold, strongest first.
 
     Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
     whatever the threshold: they are that peak's rounding leakage. Ties in
@@ -330,6 +313,4 @@ def select_peaks(spectrum: Spectrum, threshold: float) -> PeakList:
         raise ValueError("threshold must be >= 0")
     mags = np.abs(spectrum.bins)
     hits = np.flatnonzero(mags >= max(threshold, PEAK_FLOOR_REL * mags.max()))
-    order = hits[np.argsort(-mags[hits], kind="stable")]
-    entries = tuple((int(j), float(mags[j])) for j in order)
-    return PeakList(entries=entries)
+    return hits[np.argsort(-mags[hits], kind="stable")].tolist()

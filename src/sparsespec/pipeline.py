@@ -1,21 +1,11 @@
 """End-to-end sparse estimation from shifted undersampled streams.
 
-``analyze`` runs the whole chain: one stream gather through a strided
-view of the record (of its periodic extension when a wrapping plan runs
-past the end), one FFT of the reference stream, the noise deviation
-sigma read off it, peak detection in two stages, collision-order
-estimation and pencil decomposition per confirmed peak bin, ambiguity
-resolution against the coprime shift step, and a final merge onto the
-fine grid. Candidates are the reference bins that reach both the
-``threshold`` and sigma * sqrt(ln 10), which noise alone does in 0.1 of
-the bins. The shifted streams' coefficients are taken at the candidates,
-and a candidate is confirmed when its mean power over the first min(M, u)
-streams, whose samples do not overlap, reaches a level noise alone exceeds
-in about 0.01 bins per record.
-The samples read are marked through the same view in a boolean mask. With
-the shortcut, one K-sample Vandermonde solve stands in for the peak-bin
-DFTs of all shifted streams; when its node matrix is too ill-conditioned, too
-large or its SVD fails, all of them fall back to the DFTs at once.
+``analyze`` composes four stages: ``plan`` pins the stream plan against
+the record's length, ``detect`` gathers the streams and confirms the peak
+bins against the noise deviation sigma of the reference spectrum, ``fit``
+estimates each confirmed bin's collision order and fits its pencil, and
+``resolve`` pairs each term with its bin against the coprime shift step
+and merges the components onto the fine grid.
 
 ``dense_reference`` is the brute-force single-DFT estimator used for
 oracle comparisons and budget studies.
@@ -28,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -36,6 +25,7 @@ import numpy as np
 
 from .aliasing import (
     DEFAULT_UNIT_TOL,
+    BezoutPair,
     Generator,
     angle_cycles,
     bezout,
@@ -46,7 +36,6 @@ from .aliasing import (
 )
 from .core import (
     ComplexSignal,
-    PeakList,
     Spectrum,
     StreamSpec,
     dft,
@@ -80,7 +69,7 @@ SHORTCUT_CONDITION_CAP = 1e10
 CANDIDATE_FALSE_ALARM = 0.1
 CONFIRM_FALSE_ALARM = 0.01
 
-# Per-thread work arrays of ``analyze``, kept between calls (see there).
+# Per-thread work arrays of ``detect``, kept between calls (see there).
 _work = threading.local()
 
 
@@ -180,19 +169,18 @@ def build_prony_sequences(coeffs: np.ndarray,
     return {b: coeffs[:, j].copy() for j, b in enumerate(bins)}
 
 
-def shifted_coeffs_shortcut(
-        x: ComplexSignal, peaks: PeakList, spec: StreamSpec,
-        m: int | Sequence[int]) -> tuple[np.ndarray, float]:
+def shifted_coeffs_shortcut(x: ComplexSignal, bins: list[int],
+                            spec: StreamSpec) -> tuple[np.ndarray, float]:
     """Shifted-stream DFT values at the peak bins from only K samples each.
 
     Stream m restricted to the K peak bins obeys, at sample l,
     sum_k y_k * z_k^l with nodes z_k = exp(2i pi bin_k / n). Solving the
     K x K Vandermonde system against (x[u*l + m*s])_{l<K} therefore yields
     the stream-m DFT values (n * y) without touching the other n - K
-    samples. The node matrix depends only on the bins and n, so a sequence
-    of streams shares one SVD, one condition check and one solve. Returns
-    (values aligned with the peak order, condition number of the node
-    matrix): one row per stream for a sequence ``m``, a vector for an int.
+    samples. The node matrix depends only on the bins and n, so streams
+    1..M-1 of the plan share one SVD, one condition check and one solve.
+    Returns (the (M - 1) x K values, one row per shifted stream and one
+    column per bin, condition number of the node matrix).
 
     Raises:
         IllConditionedVandermonde: node condition beyond 1e10; callers fall
@@ -201,29 +189,22 @@ def shifted_coeffs_shortcut(
             dimension cap; callers fall back too.
         NoConvergence: the node-matrix SVD failed; callers fall back too.
     """
-    streams = np.asarray(m, dtype=np.int64).reshape(-1)
-    if np.any((streams < 1) | (streams >= spec.M)):
-        raise ValueError("shortcut applies to shifted streams 1..M-1")
-    n = spec.resolve_length(len(x))
-    bins = list(peaks.bin_indices())
-    k = len(bins)
+    streams = stream_view(x.samples, spec)
+    n, k = streams.shape[1], len(bins)
     if k > min(n, SVD_DIM_CAP):
         raise BadShape(f"{k} peaks exceed stream length {n} or the "
                        f"{SVD_DIM_CAP} node-matrix cap")
     if k == 0:
-        values, cond = np.zeros((streams.size, 0), dtype=np.complex128), 1.0
-    else:
-        rhs = stream_view(x.samples, spec)[streams, :k].T
-        nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
-        vand = nodes[None, :] ** np.arange(k)[:, None]
-        _, sv, _ = svd_small(vand)
-        cond = math.inf if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
-        if cond > SHORTCUT_CONDITION_CAP:
-            raise IllConditionedVandermonde(
-                f"node condition {cond:.3e} beyond "
-                f"{SHORTCUT_CONDITION_CAP:.0e}")
-        values = n * np.linalg.solve(vand, rhs).T
-    return (values if np.ndim(m) else values[0]), cond
+        return np.zeros((spec.M - 1, 0), dtype=np.complex128), 1.0
+    nodes = np.exp(2j * np.pi * np.asarray(bins, dtype=float) / n)
+    vand = nodes[None, :] ** np.arange(k)[:, None]
+    _, sv, _ = svd_small(vand)
+    cond = math.inf if sv[-1] <= 0.0 else float(sv[0] / sv[-1])
+    if cond > SHORTCUT_CONDITION_CAP:
+        raise IllConditionedVandermonde(
+            f"node condition {cond:.3e} beyond "
+            f"{SHORTCUT_CONDITION_CAP:.0e}")
+    return n * np.linalg.solve(vand, streams[1:, :k].T).T, cond
 
 
 def _merge_components(comps: list[RecoveredComponent], tol_hz: float,
@@ -287,82 +268,80 @@ def _work_array(name: str, size: int, dtype) -> np.ndarray:
     return a
 
 
-def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
-    """Recover a sparse spectrum at full-grid resolution from M streams.
-
-    Per-peak failures (unresolvable ambiguity, degenerate pencil, an SVD
-    that does not converge) are recorded in diagnostics["failures"] and do
-    not abort the run. The run is deterministic for a fixed config and
-    input.
-
-    Each thread keeps two work arrays between calls: the read mask (1 byte
-    per record sample, whole periods of it for a wrapping plan) and the
-    reference stream, which is transformed in place into its spectrum (16
-    bytes per stream sample). A call reuses them when it needs the same
-    sizes as the thread's last call and replaces them otherwise, so a
-    thread holds at most one pair: 2 MiB for a 2^20-sample record at
-    u = 16. Allocated afresh, arrays of that size go back to the kernel
-    between calls and fault in as new pages again, about 1,500 page faults
-    per call there with glibc. Nothing in the result refers to a work
-    array: every value that leaves the call is copied out of them.
-    """
+def plan(cfg: HybridConfig, length: int) -> StreamSpec:
+    """The config's stream plan with its per-stream length pinned against
+    a record of ``length`` samples; reads no samples. Raises ValueError,
+    NotCoprime or IndexBudgetExceeded for a plan ``analyze`` rejects."""
     cfg.validate()
     spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len,
                       wrap=cfg.wrap)
-    n = spec.resolve_length(len(x))
-    pinned = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n, wrap=cfg.wrap)
-    rate = x.rate_hz
-    fine_res = rate / (cfg.u * n)
+    return replace(spec, n=spec.resolve_length(length))
+
+
+def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
+           ) -> tuple[float, list[int], np.ndarray, np.ndarray, dict]:
+    """Gather the plan's streams and find the confirmed peak bins.
+
+    Returns sigma, the bins, their M x K coefficients (column j for bin
+    j), the mask of the record samples read and the gather's diagnostics
+    (``per_stream_samples``, ``peak_candidates``, ``shortcut_conditions``,
+    ``shortcut_fallbacks``).
+
+    Each thread keeps its read mask (1 byte per record sample, whole
+    periods of it for a wrapping plan) and its reference stream (16 bytes
+    per stream sample, transformed in place) between calls, reused at the
+    same sizes: allocated afresh, arrays that size fault their pages in
+    again on every call, about 1,500 faults on a 2^20-sample record at
+    u = 16 with glibc. The returned mask is the kept array itself unless
+    the plan wraps past the record; nothing else returned refers to one.
+    """
+    n, M = spec.n, cfg.M
     # The read mask covers whole periods of the record, so a wrapping plan
     # marks its periodic extension, folded back onto the record at the end.
-    read = _work_array("read", -(-pinned.span(n) // len(x)) * len(x), bool)
+    read = _work_array("read", -(-spec.span(n) // len(x)) * len(x), bool)
     read.fill(False)
-    marks = stream_view(read, pinned, writeable=True)
-    streams = stream_view(x.samples, pinned)
-    shortcut_conds: list[float] = []
-    shortcut_fallbacks = 0
+    marks = stream_view(read, spec, writeable=True)
+    streams = stream_view(x.samples, spec)
 
-    # Without the shortcut all M streams are gathered in one column-major
-    # copy, so that dft_at's blocked products read the shifted streams'
-    # columns without another copy, and stream 0 is copied out of it while
-    # it is in cache. The shortcut reads only stream 0 in full. Candidate
-    # picking needs the whole reference spectrum, the shifted streams only
-    # the candidates.
-    reference = _work_array("reference", n, np.complex128)
-    rows = None
-    if cfg.shortcut_shifted:
-        marks[0] = True
-        reference[:] = streams[0]
-    else:
+    # All M streams are gathered in one column-major copy, so that
+    # dft_at's blocked products read the shifted streams' columns without
+    # another copy. Without the shortcut stream 0 is copied out of it while
+    # it is in cache; the shortcut reads only stream 0 in full and K
+    # samples of each other stream, and gathers them all only when it falls
+    # back. Candidate picking needs the whole reference spectrum, the
+    # shifted streams only the candidates.
+    def gather() -> np.ndarray:
         marks[:] = True
-        rows = np.array(streams, order="F")
-        reference[:] = rows[0]
+        return np.array(streams, order="F")
+
+    rows = None if cfg.shortcut_shifted else gather()
+    reference = _work_array("reference", n, np.complex128)
+    reference[:] = streams[0] if rows is None else rows[0]
     np.fft.fft(reference, out=reference)
     noise = estimate_noise(reference)
-    peaks = select_peaks(
-        Spectrum(bins=reference, bin_hz=rate / cfg.u / n),
+    candidates = select_peaks(
+        Spectrum(bins=reference, bin_hz=x.rate_hz / cfg.u / n),
         max(cfg.threshold * n,
             noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))))
-    candidates = peaks.bin_indices()
+    K = len(candidates)
+    gathered = {"per_stream_samples": [n] * M, "peak_candidates": K,
+                "shortcut_conditions": [], "shortcut_fallbacks": 0}
 
-    coeffs = np.empty((cfg.M, len(candidates)), dtype=np.complex128)
+    coeffs = np.empty((M, K), dtype=np.complex128)
     coeffs[0] = reference[candidates]
-    per_stream_samples = [n] * cfg.M
     if cfg.shortcut_shifted:
-        shifted = range(1, cfg.M)
         try:
-            coeffs[1:], cond = shifted_coeffs_shortcut(x, peaks, pinned,
-                                                       shifted)
+            coeffs[1:], cond = shifted_coeffs_shortcut(x, candidates, spec)
         except (IllConditionedVandermonde, BadShape, NoConvergence):
             # One node matrix serves every shifted stream, so they all
             # fall back together to the full path below.
-            shortcut_fallbacks = cfg.M - 1
-            marks[:] = True
-            rows = np.array(streams, order="F")
+            gathered["shortcut_fallbacks"] = M - 1
+            rows = gather()
         else:
-            shortcut_conds = [cond] * (cfg.M - 1)
-            per_stream_samples[1:] = [len(candidates)] * (cfg.M - 1)
-            marks[1:, :len(candidates)] = True
+            gathered["shortcut_conditions"] = [cond] * (M - 1)
+            gathered["per_stream_samples"][1:] = [K] * (M - 1)
+            marks[0] = True
+            marks[1:, :K] = True
     if rows is not None:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], candidates)
 
@@ -371,28 +350,32 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     # by s and would repeat its noise. The rms is compared in amplitude
     # units, so that sigma is never squared, and a NaN or overflowing bin is
     # kept to fail on its own.
-    k = min(cfg.M, cfg.u)
+    k = min(M, cfg.u)
     level = noise * math.sqrt(noise_power_quantile(
         k, CONFIRM_FALSE_ALARM / n))
-    drop = np.sqrt(np.square(np.abs(coeffs[:k])).sum(0) / k) < level
-    peak_bins = candidates
-    if drop.any():
-        coeffs = coeffs[:, ~drop]
-        peak_bins = [b for b, d in zip(candidates, drop.tolist()) if not d]
-    sequences = build_prony_sequences(coeffs, peak_bins)
+    keep = ~(np.sqrt(np.square(np.abs(coeffs[:k])).sum(0) / k) < level)
+    bins = [b for b, ok in zip(candidates, keep.tolist()) if ok]
+    if read.size > len(x):
+        read = read.reshape(-1, len(x)).any(0)
+    return noise, bins, coeffs[:, keep], read, gathered
 
-    components: list[RecoveredComponent] = []
-    bin_reports: list[dict] = []
-    bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
 
-    for b in peak_bins:
-        p = sequences[b]
-        z_u = complex(np.exp(2j * np.pi * b / n))
-        a_u = angle_cycles(z_u)
+def fit(coeffs: np.ndarray, bins: list[int], noise: float, M: int
+        ) -> tuple[list[dict], list[list[tuple[complex, complex]]]]:
+    """Order estimate and pencil fit of each bin's column of ``coeffs``.
+
+    Returns one report per bin (the ``bin_reports`` of ``analyze``) and
+    the bin's terms (pencil root, amplitude) within ``DEFAULT_UNIT_TOL`` of
+    the unit circle. A failed fit records its error in the report and has
+    no terms.
+    """
+    reports, terms = [], []
+    for b, p in build_prony_sequences(coeffs, bins).items():
         report = {"bin": b, "rank": 0, "gap": math.inf, "kept": 0,
                   "residual": 0.0, "error": None, "singular_values": [],
                   "sequence": p.tolist()}
-        bin_reports.append(report)
+        reports.append(report)
+        terms.append(kept := [])
         try:
             est = estimate_order(p, noise)
             report.update(rank=est.rank, gap=est.gap_ratio,
@@ -400,56 +383,89 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
             if est.rank == 0:
                 continue
             zs, amps = pencil_decompose(
-                p, min(max(1, (cfg.M - 1) // 2), est.rank))
-            residual = report["residual"] = model_residual(p, zs, amps)
-            kept = [(z, amp) for z, amp in zip(zs.tolist(), amps.tolist())
-                    if abs(abs(z) - 1.0) <= DEFAULT_UNIT_TOL]
+                p, min(max(1, (M - 1) // 2), est.rank))
+            report["residual"] = model_residual(p, zs, amps)
+            kept += [(z, amp) for z, amp in zip(zs.tolist(), amps.tolist())
+                     if abs(abs(z) - 1.0) <= DEFAULT_UNIT_TOL]
+        except (IllConditionedPencil, BadShape, NoConvergence) as exc:
+            report.update(error=type(exc).__name__, detail=str(exc))
+    return reports, terms
+
+
+def resolve(reports: list[dict], terms: list[list[tuple[complex, complex]]],
+            spec: StreamSpec, rate_hz: float,
+            bez: BezoutPair | None) -> list[RecoveredComponent]:
+    """Each bin's terms paired into components (by ``resolve_bezout`` when
+    ``bez`` is given), merged within half a fine bin and strongest first.
+
+    A term that cannot be paired records its error on the bin's report and
+    ends the bin; its earlier terms' components stay, counted in ``kept``.
+    """
+    n = spec.n
+    components: list[RecoveredComponent] = []
+    for report, kept in zip(reports, terms):
+        b = report["bin"]
+        z_u = complex(np.exp(2j * np.pi * b / n))
+        a_u = angle_cycles(z_u)
+        try:
             for z, amp in kept:
-                if cfg.resolver == "bezout":
+                if bez is not None:
                     freq, _ = resolve_bezout(
-                        Generator(value=z_u, step=cfg.u),
-                        Generator(value=z, step=cfg.s), bez, rate)
+                        Generator(value=z_u, step=spec.u),
+                        Generator(value=z, step=spec.s), bez, rate_hz)
                     dist = 0.0
                 else:
                     freq, dist = resolve_cycles(
-                        a_u, cfg.u, angle_cycles(z), cfg.s, rate)
+                        a_u, spec.u, angle_cycles(z), spec.s, rate_hz)
                 components.append(RecoveredComponent(
                     freq_hz=float(freq),
                     amplitude=amp / n,
                     source_bin=int(b),
                     collision_order=len(kept),
                     match_distance_hz=float(dist),
-                    residual=residual))
+                    residual=report["residual"]))
                 report["kept"] += 1
-        except (NoIntersection, NoUniqueIntersection, IllConditionedPencil,
-                BadShape, NoConvergence) as exc:
-            # Components of the bin's earlier terms stay.
+        except (NoIntersection, NoUniqueIntersection) as exc:
             report.update(error=type(exc).__name__, detail=str(exc))
-
-    if read.size > len(x):
-        read = read.reshape(-1, len(x)).any(0)
-    components = _merge_components(components, fine_res / 2.0, rate)
+    fine_res = rate_hz / (spec.u * n)
+    components = _merge_components(components, fine_res / 2.0, rate_hz)
     components.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))
+    return components
 
+
+def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
+    """Recover a sparse spectrum at full-grid resolution from M streams.
+
+    ``plan``, ``detect``, ``fit`` and ``resolve`` run in turn. Per-peak
+    failures (unresolvable ambiguity, degenerate pencil, an SVD that does
+    not converge) are recorded in diagnostics["failures"] and do not abort
+    the run. The run is deterministic for a fixed config and input.
+    """
+    spec = plan(cfg, len(x))
+    n, rate = spec.n, x.rate_hz
+    noise, bins, coeffs, read, gathered = detect(x, cfg, spec)
+    reports, terms = fit(coeffs, bins, noise, cfg.M)
+    bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
+    components = resolve(reports, terms, spec, rate, bez)
     diagnostics = {
         "stream_length": n,
         "noise_sigma": noise,
         "fine_grid_size": cfg.u * n,
         "samples_used": int(np.count_nonzero(read)),
-        "per_stream_samples": per_stream_samples,
-        "peak_candidates": len(candidates),
-        "peak_bins": [int(b) for b in peak_bins],
-        "bin_reports": bin_reports,
-        "failures": [r for r in bin_reports if r["error"]],
+        "per_stream_samples": gathered["per_stream_samples"],
+        "peak_candidates": gathered["peak_candidates"],
+        "peak_bins": [int(b) for b in bins],
+        "bin_reports": reports,
+        "failures": [r for r in reports if r["error"]],
         "resolver": cfg.resolver,
         "shortcut_shifted": cfg.shortcut_shifted,
-        "shortcut_conditions": shortcut_conds,
-        "shortcut_fallbacks": shortcut_fallbacks,
+        "shortcut_conditions": gathered["shortcut_conditions"],
+        "shortcut_fallbacks": gathered["shortcut_fallbacks"],
     }
     if bez is not None:
         diagnostics["bezout_pair"] = (bez.t, bez.v)
     return SparseSpectrum(components=tuple(components), config=cfg,
-                          rate_hz=rate, resolution_hz=fine_res,
+                          rate_hz=rate, resolution_hz=rate / (cfg.u * n),
                           diagnostics=diagnostics)
 
 
@@ -458,13 +474,14 @@ def dense_reference(x: ComplexSignal, threshold: float) -> SparseSpectrum:
 
     The baseline the hybrid is judged against: every bin of the full
     transform whose per-sample amplitude reaches the threshold becomes a
-    component.
+    component. A NaN, infinite or negative threshold raises ValueError.
     """
+    if not 0 <= threshold < math.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     big = len(x)
     spectrum = dft(x)
-    peaks = select_peaks(spectrum, threshold * big)
     comps = []
-    for b, _ in peaks.entries:
+    for b in select_peaks(spectrum, threshold * big):
         comps.append(RecoveredComponent(
             freq_hz=float(b * spectrum.bin_hz),
             amplitude=complex(spectrum.bins[b]) / big,

@@ -346,6 +346,15 @@ class TestDft:
         freqs = sorted(c.freq_hz for c in read_components_csv(out))
         assert np.allclose(freqs, [125.0, 165.0, 245.0], atol=1e-9)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exit_two(self, tmp_path, capsys, value):
+        # Both once printed components=0 and exited 0.
+        sig = write_signal3(tmp_path)
+        assert cli.main(["dft", "--in", str(sig), "--rate", "1000",
+                         "--threshold", value,
+                         "--out", str(tmp_path / "comps.csv")]) == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+
 
 class TestUsageAndSelftest:
     def test_unknown_subcommand_exit_one(self, capsys):

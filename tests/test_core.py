@@ -293,29 +293,25 @@ class TestExtractStreams:
 class TestSelectPeaks:
     def test_single_peak(self):
         spec = dft(make_signal([1, 1, 1, 1]))
-        peaks = select_peaks(spec, 1.0)
-        assert peaks.entries == ((0, 4.0),)
+        assert select_peaks(spec, 1.0) == [0]
 
     def test_tie_break_by_bin_index(self):
         from sparsespec import Spectrum
         spec = Spectrum(bins=np.array([3.0, 5.0, 5.0, 1.0],
                                       dtype=np.complex128), bin_hz=1.0)
-        peaks = select_peaks(spec, 2.0)
-        assert [(b, m) for b, m in peaks.entries] == [(1, 5.0), (2, 5.0),
-                                                      (0, 3.0)]
+        assert select_peaks(spec, 2.0) == [1, 2, 0]
 
     def test_equal_magnitudes_keep_bin_order(self):
         from sparsespec import Spectrum
         mags = np.repeat([2.0, 7.0, 4.0, 7.0], 32)
         peaks = select_peaks(Spectrum(bins=mags.astype(np.complex128),
                                       bin_hz=1.0), 3.0)
-        assert peaks.bin_indices() == (list(range(32, 64))
-                                       + list(range(96, 128))
-                                       + list(range(64, 96)))
+        assert peaks == (list(range(32, 64)) + list(range(96, 128))
+                         + list(range(64, 96)))
 
     def test_empty_allowed(self):
         spec = dft(make_signal([0, 0, 0, 0]))
-        assert select_peaks(spec, 0.5).entries == ()
+        assert select_peaks(spec, 0.5) == []
 
     def test_negative_threshold_rejected(self):
         spec = dft(make_signal([1, 1]))

@@ -14,10 +14,10 @@ from sparsespec import (
     ComplexSignal,
     HybridConfig,
     IllConditionedVandermonde,
+    IndexBudgetExceeded,
     NoConvergence,
     NotCoprime,
     NoUniqueIntersection,
-    PeakList,
     SparseSpecError,
     StreamSpec,
     SynthSpec,
@@ -378,6 +378,69 @@ class TestDenseReference:
         assert dense.components[0].freq_hz == pytest.approx(7.0)
         assert dense.components[0].amplitude == pytest.approx(1.0 + 0j)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_threshold_rejected(self, threshold):
+        # NaN and inf once returned no components instead of an error.
+        x = tone_signal([(8.0, 1.0)], 64.0, 64)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dense_reference(x, threshold)
+
+
+class TestStages:
+    @pytest.mark.parametrize("kwargs, length", [
+        (dict(u=5, s=2, M=9), 200),
+        (dict(u=5, s=2, M=9, stream_len=20), 200),
+        (dict(u=7, s=3, M=4, stream_len=60, wrap=True), 100),
+        (dict(u=1, s=1, M=2, threshold=0.0), 3),
+    ])
+    def test_plan_pins_the_stream_length(self, kwargs, length):
+        cfg = HybridConfig(**kwargs)
+        x = tone_signal([(3.0, 1.0)], float(length), length)
+        spec = pipeline.plan(cfg, length)
+        assert (spec.u, spec.s, spec.M, spec.wrap) \
+            == (cfg.u, cfg.s, cfg.M, cfg.wrap)
+        assert spec.n == analyze(x, cfg).diagnostics["stream_length"]
+
+    @pytest.mark.parametrize("kwargs, length, error", [
+        (dict(u=4, s=2, M=3), 200, NotCoprime),
+        (dict(u=5, s=2, M=1), 200, ValueError),
+        (dict(u=0, s=2, M=3), 200, ValueError),
+        (dict(u=5, s=2, M=3, threshold=math.nan), 200, ValueError),
+        (dict(u=5, s=2, M=3, resolver="nearest"), 200, ValueError),
+        (dict(u=5, s=2, M=3, stream_len=0), 200, ValueError),
+        (dict(u=5, s=2, M=3, stream_len=41), 200, IndexBudgetExceeded),
+        (dict(u=5, s=2, M=60), 100, IndexBudgetExceeded),
+    ])
+    def test_plan_rejects_what_analyze_rejects(self, kwargs, length, error):
+        cfg = HybridConfig(**kwargs)
+        x = tone_signal([(3.0, 1.0)], float(length), length)
+        with pytest.raises(error):
+            pipeline.plan(cfg, length)
+        with pytest.raises(error):
+            analyze(x, cfg)
+
+    def test_fit_fails_only_the_nan_column(self):
+        # 25 Hz and 85 Hz collide in stream bin 5; 40 Hz and 33 Hz land
+        # alone in bins 0 and 13.
+        x = tone_signal([(25.0, 1.0), (85.0, 0.5j), (40.0, 0.8),
+                         (33.0, 0.6)], 100.0, 200)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
+        spec = pipeline.plan(cfg, len(x))
+        noise, bins, coeffs, _, _ = pipeline.detect(x, cfg, spec)
+        assert sorted(bins) == [0, 5, 13]
+        poisoned = coeffs.copy()
+        poisoned[:, 1] = np.nan
+        reports, terms = pipeline.fit(poisoned, bins, noise, cfg.M)
+        assert [r["error"] for r in reports] \
+            == [None] + ["NoConvergence"] + [None] * (len(bins) - 2)
+        assert terms[1] == []
+        for j in [0] + list(range(2, len(bins))):
+            (alone,), (alone_terms,) = pipeline.fit(
+                coeffs[:, j:j + 1], bins[j:j + 1], noise, cfg.M)
+            assert reports[j] == alone
+            assert terms[j] == alone_terms
+            assert terms[j]
+
 
 class TestShortcut:
     def test_condition_one_for_root_grid(self):
@@ -386,55 +449,30 @@ class TestShortcut:
         rate = 1000.0
         x = tone_signal([(2.0, 1.0)], rate, 1000)
         spec = StreamSpec(u=250, s=1, M=2, n=4)
-        peaks = PeakList(entries=tuple((b, 1.0) for b in range(4)))
-        vals, cond = shifted_coeffs_shortcut(x, peaks, spec, 1)
+        bins = list(range(4))
+        (vals,), cond = shifted_coeffs_shortcut(x, bins, spec)
         assert cond == pytest.approx(1.0, abs=1e-9)
         direct = dft(extract_streams(x, spec).streams[1]).bins
-        for (b, _), v in zip(peaks.entries, vals):
+        for b, v in zip(bins, vals):
             assert abs(v - direct[b]) <= 1e-8 * max(np.abs(direct).max(), 1)
 
     def test_full_grid_nodes_ill_conditioned(self):
         rate = 1000.0
         x = tone_signal([(11.0, 1.0)], rate, 1000)
         spec = StreamSpec(u=1, s=1, M=2, n=999)
-        peaks = PeakList(entries=tuple((b, 1.0) for b in (11, 22, 33, 44)))
         try:
-            _, cond = shifted_coeffs_shortcut(x, peaks, spec, 1)
+            _, cond = shifted_coeffs_shortcut(x, [11, 22, 33, 44], spec)
         except IllConditionedVandermonde:
             return
         assert cond > 1e4
 
-    def test_requires_shifted_stream(self):
-        x = tone_signal([(2.0, 1.0)], 1000.0, 1000)
-        spec = StreamSpec(u=250, s=1, M=12, n=4)
-        peaks = PeakList(entries=((0, 1.0),))
-        for m in (0, [0, 1], 12, 40, 100, [1, 12]):
-            with pytest.raises(ValueError):
-                shifted_coeffs_shortcut(x, peaks, spec, m)
-
     def test_empty_peaks(self):
         x = tone_signal([(2.0, 1.0)], 1000.0, 1000)
         spec = StreamSpec(u=250, s=1, M=2, n=4)
-        vals, cond = shifted_coeffs_shortcut(
-            x, PeakList(entries=()), spec, 1)
+        vals, cond = shifted_coeffs_shortcut(x, [], spec)
         assert vals.size == 0
         assert cond == 1.0
-        vals, _ = shifted_coeffs_shortcut(x, PeakList(entries=()), spec, [1])
         assert vals.shape == (1, 0)
-
-    def test_stream_sequence_matches_single_streams(self):
-        # One solve against all shifted streams gives each stream's row bit
-        # for bit; an int stream number keeps the 1-d vector.
-        x = tone_signal([(25.0, 1.0), (42.0, 0.5j), (63.0, 0.3)], 100.0, 200)
-        spec = StreamSpec(u=5, s=2, M=9, n=20)
-        peaks = PeakList(entries=((5, 1.0), (2, 0.5), (3, 0.3)))
-        rows, cond = shifted_coeffs_shortcut(x, peaks, spec, range(1, 9))
-        assert rows.shape == (8, 3)
-        for m in range(1, 9):
-            vals, single_cond = shifted_coeffs_shortcut(x, peaks, spec, m)
-            assert vals.shape == (3,)
-            assert single_cond == cond
-            assert np.array_equal(vals, rows[m - 1])
 
     def test_one_solve_for_all_shifted_streams(self, monkeypatch):
         calls = {"shortcut": 0, "svd": 0, "solve": 0}
@@ -655,10 +693,10 @@ class TestBatchedStreams:
             seen["coeffs"] = coeffs.copy()
             return build(coeffs, bins)
 
-        def forced_fallback(x, peaks, spec, m):
+        def forced_fallback(x, bins, spec):
             if forced:
                 raise IllConditionedVandermonde("forced fallback")
-            return shortcut(x, peaks, spec, m)
+            return shortcut(x, bins, spec)
 
         monkeypatch.setattr(pipeline, "select_peaks", capture_peaks)
         monkeypatch.setattr(pipeline, "build_prony_sequences", capture_coeffs)
