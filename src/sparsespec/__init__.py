@@ -12,8 +12,7 @@ loads on first use of one of them, so importing the estimator or
 """
 from .aliasing import (
     BezoutPair,
-    CandidateSet,
-    Generator,
+    angle_cycles,
     bezout,
     candidate_set,
     circular_distance_hz,
@@ -40,7 +39,6 @@ from .core import (
 )
 from .errors import (
     BadShape,
-    DegenerateGenerator,
     IllConditionedPencil,
     IllConditionedVandermonde,
     IndexBudgetExceeded,
@@ -74,14 +72,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BadShape",
     "BezoutPair",
-    "CandidateSet",
     "ComplexSignal",
-    "DegenerateGenerator",
     "EXPERIMENT_1_TONES",
     "EXPERIMENT_2_MUS",
     "EXPERIMENT_2_REFERENCE_SAMPLES",
     "EvalReport",
-    "Generator",
     "HybridConfig",
     "IllConditionedPencil",
     "IllConditionedVandermonde",
@@ -101,6 +96,7 @@ __all__ = [
     "SynthSpec",
     "ToneSpec",
     "analyze",
+    "angle_cycles",
     "bezout",
     "build_prony_sequences",
     "candidate_set",

@@ -302,7 +302,8 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
 
 
 def select_peaks(spectrum: Spectrum, threshold: float) -> list[int]:
-    """The indices of all bins with |X_j| >= threshold, strongest first.
+    """The indices of all bins with |X_j| >= threshold and |X_j| > 0,
+    strongest first.
 
     Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
     whatever the threshold: they are that peak's rounding leakage. Ties in
@@ -312,5 +313,6 @@ def select_peaks(spectrum: Spectrum, threshold: float) -> list[int]:
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     mags = np.abs(spectrum.bins)
-    hits = np.flatnonzero(mags >= max(threshold, PEAK_FLOOR_REL * mags.max()))
+    floor = max(threshold, PEAK_FLOOR_REL * mags.max())
+    hits = np.flatnonzero((mags >= floor) & (mags > 0))
     return hits[np.argsort(-mags[hits], kind="stable")].tolist()

@@ -9,10 +9,6 @@ class NotCoprime(SparseSpecError):
     """The undersampling stride and the shift must be coprime."""
 
 
-class DegenerateGenerator(SparseSpecError):
-    """Generator magnitude too small to carry a usable angle."""
-
-
 class NoIntersection(SparseSpecError):
     """No candidate pair closer than the matching tolerance."""
 

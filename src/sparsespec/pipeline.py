@@ -26,13 +26,11 @@ import numpy as np
 from .aliasing import (
     DEFAULT_UNIT_TOL,
     BezoutPair,
-    Generator,
     angle_cycles,
     bezout,
     candidate_set,  # noqa: F401 -- re-exported; tracers patch it here
     resolve_bezout,
-    resolve_cycles,
-    resolve_match,  # noqa: F401 -- re-exported; tracers patch it here
+    resolve_match,
 )
 from .core import (
     ComplexSignal,
@@ -97,7 +95,7 @@ class HybridConfig:
     Hankel of its M coefficients, ``pencil_decompose`` fits at most
     max(1, (M - 1) // 2) of them (one at M = 2, the ratio P(1) / P(0)),
     pencil roots count within ``DEFAULT_UNIT_TOL`` of the unit circle,
-    recoveries merge within half a fine bin, and ``resolve_cycles`` fixes
+    recoveries merge within half a fine bin, and ``resolve_match`` fixes
     the alias-pairing tolerances.
     """
 
@@ -405,18 +403,16 @@ def resolve(reports: list[dict], terms: list[list[tuple[complex, complex]]],
     components: list[RecoveredComponent] = []
     for report, kept in zip(reports, terms):
         b = report["bin"]
-        z_u = complex(np.exp(2j * np.pi * b / n))
-        a_u = angle_cycles(z_u)
+        a_u = angle_cycles(complex(np.exp(2j * np.pi * b / n)))
         try:
             for z, amp in kept:
+                a_s = angle_cycles(z)
                 if bez is not None:
-                    freq, _ = resolve_bezout(
-                        Generator(value=z_u, step=spec.u),
-                        Generator(value=z, step=spec.s), bez, rate_hz)
+                    freq, _ = resolve_bezout(a_u, a_s, bez, rate_hz)
                     dist = 0.0
                 else:
-                    freq, dist = resolve_cycles(
-                        a_u, spec.u, angle_cycles(z), spec.s, rate_hz)
+                    freq, dist = resolve_match(a_u, spec.u, a_s, spec.s,
+                                               rate_hz)
                 components.append(RecoveredComponent(
                     freq_hz=float(freq),
                     amplitude=amp / n,

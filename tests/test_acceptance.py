@@ -12,13 +12,12 @@ import pytest
 
 from sparsespec import (
     ComplexSignal,
-    Generator,
     NotCoprime,
     Spectrum,
     StreamSpec,
     analyze,
+    angle_cycles,
     bezout,
-    candidate_set,
     circular_distance_hz,
     circular_shift,
     dft,
@@ -53,10 +52,11 @@ def random_signal(rng, n):
     return ComplexSignal(samples=vals, rate_hz=float(n))
 
 
-def generators_for(freq, u, s, rate):
-    g_u = Generator(value=np.exp(2j * np.pi * freq * u / rate), step=u)
-    g_s = Generator(value=np.exp(2j * np.pi * freq * s / rate), step=s)
-    return g_u, g_s
+def cycles_for(freq, u, s, rate):
+    """Angle cycles of the step-u and step-s observations of freq."""
+    a_u = angle_cycles(np.exp(2j * np.pi * freq * u / rate))
+    a_s = angle_cycles(np.exp(2j * np.pi * freq * s / rate))
+    return a_u, a_s
 
 
 def test_criterion_1_kernel_correctness(capsys):
@@ -137,19 +137,13 @@ def test_criterion_3_coprime_uniqueness(capsys):
         rate = float(n)
         for j in range(n):
             f = j * rate / n
-            u_set = candidate_set(
-                Generator(value=np.exp(2j * np.pi * f * u / rate), step=u),
-                rate)
-            s_set = candidate_set(
-                Generator(value=np.exp(2j * np.pi * f * s / rate), step=s),
-                rate)
-            freq, _ = resolve_match(u_set, s_set)
+            a_u, a_s = cycles_for(f, u, s, rate)
+            freq, _ = resolve_match(a_u, u, a_s, s, rate)
             assert circular_distance_hz(freq, f, rate) <= 1e-9
             total += 1
-    u_set = candidate_set(Generator(value=1.0 + 0j, step=4), 512.0)
-    s_set = candidate_set(Generator(value=1.0 + 0j, step=2), 512.0)
     with pytest.raises(NotCoprime):
-        resolve_match(u_set, s_set)
+        resolve_match(angle_cycles(1.0 + 0j), 4, angle_cycles(1.0 + 0j), 2,
+                      512.0)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     with capsys.disabled():
@@ -296,10 +290,9 @@ def test_criterion_7_bezout_vs_match(capsys):
         bp = bezout(u, s)
         for j in range(n):
             f = j * rate / n
-            g_u, g_s = generators_for(f, u, s, rate)
-            via_bezout, _ = resolve_bezout(g_u, g_s, bp, rate)
-            via_match, _ = resolve_match(candidate_set(g_u, rate),
-                                         candidate_set(g_s, rate))
+            a_u, a_s = cycles_for(f, u, s, rate)
+            via_bezout, _ = resolve_bezout(a_u, a_s, bp, rate)
+            via_match, _ = resolve_match(a_u, u, a_s, s, rate)
             assert circular_distance_hz(via_bezout, via_match, rate) <= 1e-9
 
     rng = np.random.default_rng(107)
@@ -311,11 +304,9 @@ def test_criterion_7_bezout_vs_match(capsys):
         bound = (abs(bp.t) + abs(bp.v)) * eps * rate / (2 * math.pi)
         true = float(rng.uniform(0, rate))
         du, ds = rng.uniform(-eps, eps, size=2)
-        g_u = Generator(
-            value=np.exp(1j * (2 * np.pi * true * u / rate + du)), step=u)
-        g_s = Generator(
-            value=np.exp(1j * (2 * np.pi * true * s / rate + ds)), step=s)
-        freq, _ = resolve_bezout(g_u, g_s, bp, rate)
+        a_u = angle_cycles(np.exp(1j * (2 * np.pi * true * u / rate + du)))
+        a_s = angle_cycles(np.exp(1j * (2 * np.pi * true * s / rate + ds)))
+        freq, _ = resolve_bezout(a_u, a_s, bp, rate)
         assert circular_distance_hz(freq, true, rate) <= bound + 1e-9
     with capsys.disabled():
         print("criterion 7: PASS - bezout == match to 1e-9 Hz across the "

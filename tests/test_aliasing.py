@@ -1,4 +1,5 @@
-"""Candidate sets from generators, coprime intersection, Bezout resolution."""
+"""Candidate sets from angle cycles, coprime intersection, Bezout
+resolution."""
 import math
 
 import numpy as np
@@ -6,65 +7,57 @@ import pytest
 
 from sparsespec import (
     BezoutPair,
-    CandidateSet,
-    DegenerateGenerator,
-    Generator,
     NoIntersection,
     NotCoprime,
     NoUniqueIntersection,
+    angle_cycles,
     bezout,
     candidate_set,
     circular_distance_hz,
     resolve_bezout,
     resolve_match,
 )
-from sparsespec.aliasing import resolve_cycles
 
 
-def generator_for(freq, step, rate, scale=1.0):
-    return Generator(value=scale * np.exp(2j * np.pi * freq * step / rate),
-                     step=step)
+def cycles_for(freq, step, rate, scale=1.0):
+    """Angle cycles of the step-``step`` observation of a tone at freq."""
+    return angle_cycles(scale * np.exp(2j * np.pi * freq * step / rate))
 
 
 class TestCandidateSet:
     def test_quarter_turn_roots(self):
-        g = Generator(value=np.exp(2j * np.pi * 0.75), step=4)
-        cs = candidate_set(g, 1000.0)
-        assert np.allclose(cs.candidates, [187.5, 437.5, 687.5, 937.5])
+        cs = candidate_set(angle_cycles(np.exp(2j * np.pi * 0.75)), 4, 1000.0)
+        assert np.allclose(cs, [187.5, 437.5, 687.5, 937.5])
 
     def test_unit_generator_step_three(self):
-        cs = candidate_set(Generator(value=1.0 + 0j, step=3), 9.0)
-        assert np.allclose(cs.candidates, [0.0, 3.0, 6.0])
+        cs = candidate_set(angle_cycles(1.0 + 0j), 3, 9.0)
+        assert np.allclose(cs, [0.0, 3.0, 6.0])
 
     def test_undersampled_tone_set_membership(self):
         # 5 Hz seen at stride 50 of a 1000 Hz grid: candidates are spaced
         # 20 Hz and include every tone that collides onto that bin.
-        g = generator_for(5.0, 50, 1000.0)
-        cs = candidate_set(g, 1000.0)
-        assert len(cs.candidates) == 50
+        cs = candidate_set(cycles_for(5.0, 50, 1000.0), 50, 1000.0)
+        assert len(cs) == 50
         expected = 5.0 + 20.0 * np.arange(50)
-        assert np.allclose(np.sort(cs.candidates), expected, atol=1e-9)
+        assert np.allclose(np.sort(cs), expected, atol=1e-9)
         for tone in (125.0, 165.0, 245.0):
-            assert np.min(np.abs(np.asarray(cs.candidates) - tone)) < 1e-9
+            assert np.min(np.abs(np.asarray(cs) - tone)) < 1e-9
 
     def test_candidates_sorted_and_distinct(self):
-        cs = candidate_set(generator_for(7.3, 9, 100.0), 100.0)
-        cands = np.asarray(cs.candidates)
+        cs = candidate_set(cycles_for(7.3, 9, 100.0), 9, 100.0)
+        cands = np.asarray(cs)
         assert np.all(np.diff(cands) > 0)
         assert cands.size == 9
 
-    def test_degenerate_value_rejected(self):
-        with pytest.raises(DegenerateGenerator):
-            Generator(value=0.0 + 0j, step=4)
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_step_below_one_rejected(self, step):
+        with pytest.raises(ValueError, match="positive"):
+            candidate_set(0.25, step, 1000.0)
 
-    def test_off_unit_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            Generator(value=3.0 + 0j, step=4)
-
-    def test_noisy_modulus_normalized(self):
-        g = Generator(value=1.1 * np.exp(0.4j), step=5)
-        assert abs(g.normalized) == pytest.approx(1.0)
-        assert g.angle_cycles == pytest.approx(0.4 / (2 * math.pi))
+    @pytest.mark.parametrize("cycles", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cycles_rejected(self, cycles):
+        with pytest.raises(ValueError, match="finite"):
+            candidate_set(cycles, 4, 1000.0)
 
 
 class TestBezout:
@@ -103,24 +96,23 @@ class TestBezout:
 class TestResolveBezout:
     def test_tone_125(self):
         bp = bezout(50, 17)
-        g_u = generator_for(125.0, 50, 1000.0)
-        g_s = generator_for(125.0, 17, 1000.0)
-        freq, amp = resolve_bezout(g_u, g_s, bp, 1000.0)
+        a_u = cycles_for(125.0, 50, 1000.0)
+        a_s = cycles_for(125.0, 17, 1000.0)
+        freq, amp = resolve_bezout(a_u, a_s, bp, 1000.0)
         assert freq == pytest.approx(125.0, abs=1e-9)
         assert amp == abs(bp.t) + abs(bp.v)
 
     def test_tone_245(self):
         bp = bezout(50, 17)
-        g_u = generator_for(245.0, 50, 1000.0)
-        g_s = generator_for(245.0, 17, 1000.0)
-        freq, _ = resolve_bezout(g_u, g_s, bp, 1000.0)
+        a_u = cycles_for(245.0, 50, 1000.0)
+        a_s = cycles_for(245.0, 17, 1000.0)
+        freq, _ = resolve_bezout(a_u, a_s, bp, 1000.0)
         assert freq == pytest.approx(245.0, abs=1e-9)
 
     def test_unit_generators_give_zero(self):
         bp = bezout(5, 3)
-        g = Generator(value=1.0 + 0j, step=5)
-        h = Generator(value=1.0 + 0j, step=3)
-        freq, _ = resolve_bezout(g, h, bp, 1000.0)
+        freq, _ = resolve_bezout(angle_cycles(1.0 + 0j),
+                                 angle_cycles(1.0 + 0j), bp, 1000.0)
         assert freq == pytest.approx(0.0, abs=1e-9)
 
     def test_perturbation_bound(self):
@@ -132,19 +124,23 @@ class TestResolveBezout:
         for _ in range(50):
             true = float(rng.uniform(0, rate))
             du, ds = rng.uniform(-eps, eps, size=2)
-            g_u = Generator(value=np.exp(
-                1j * (2 * np.pi * true * 50 / rate + du)), step=50)
-            g_s = Generator(value=np.exp(
-                1j * (2 * np.pi * true * 17 / rate + ds)), step=17)
-            freq, _ = resolve_bezout(g_u, g_s, bp, rate)
+            a_u = angle_cycles(np.exp(
+                1j * (2 * np.pi * true * 50 / rate + du)))
+            a_s = angle_cycles(np.exp(
+                1j * (2 * np.pi * true * 17 / rate + ds)))
+            freq, _ = resolve_bezout(a_u, a_s, bp, rate)
             assert circular_distance_hz(freq, true, rate) <= bound + 1e-9
+
+    @pytest.mark.parametrize("cycles", [(math.nan, 0.1), (0.1, math.inf)])
+    def test_non_finite_cycles_rejected(self, cycles):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_bezout(*cycles, bezout(50, 17), 1000.0)
 
 
 class TestResolveMatch:
     def test_tone_125(self):
-        u_set = candidate_set(generator_for(125.0, 50, 1000.0), 1000.0)
-        s_set = candidate_set(generator_for(125.0, 17, 1000.0), 1000.0)
-        freq, dist = resolve_match(u_set, s_set)
+        freq, dist = resolve_match(cycles_for(125.0, 50, 1000.0), 50,
+                                   cycles_for(125.0, 17, 1000.0), 17, 1000.0)
         assert freq == pytest.approx(125.0, abs=1e-9)
         assert dist == pytest.approx(0.0, abs=1e-9)
 
@@ -153,75 +149,80 @@ class TestResolveMatch:
         n, u, s, rate = 60, 4, 3, 60.0
         for j in range(n):
             f = j * rate / n
-            u_set = candidate_set(generator_for(f, u, rate), rate)
-            s_set = candidate_set(generator_for(f, s, rate), rate)
-            freq, _ = resolve_match(u_set, s_set)
+            freq, _ = resolve_match(cycles_for(f, u, rate), u,
+                                    cycles_for(f, s, rate), s, rate)
             assert freq == pytest.approx(f, abs=1e-9)
 
     def test_non_coprime_rejected(self):
-        u_set = candidate_set(generator_for(10.0, 4, 100.0), 100.0)
-        s_set = candidate_set(generator_for(10.0, 2, 100.0), 100.0)
         with pytest.raises(NotCoprime):
-            resolve_match(u_set, s_set)
+            resolve_match(cycles_for(10.0, 4, 100.0), 4,
+                          cycles_for(10.0, 2, 100.0), 2, 100.0)
+
+    @pytest.mark.parametrize("u,s", [(0, 3), (4, 0), (-1, 3)])
+    def test_step_below_one_rejected(self, u, s):
+        with pytest.raises(ValueError, match="positive"):
+            resolve_match(0.25, u, 0.5, s, 1000.0)
+
+    @pytest.mark.parametrize("cycles", [(math.nan, 0.5), (0.25, math.nan),
+                                        (math.inf, 0.5), (0.25, -math.inf)])
+    def test_non_finite_cycles_rejected(self, cycles):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_match(cycles[0], 50, cycles[1], 17, 1000.0)
 
     def test_rescaled_generators_match(self):
-        u_set = candidate_set(generator_for(125.0, 50, 1000.0, scale=1.15),
-                              1000.0)
-        s_set = candidate_set(generator_for(125.0, 17, 1000.0, scale=1.15),
-                              1000.0)
-        freq, _ = resolve_match(u_set, s_set)
+        # angle_cycles reads only the angle of an off-circle observation.
+        freq, _ = resolve_match(
+            cycles_for(125.0, 50, 1000.0, scale=1.15), 50,
+            cycles_for(125.0, 17, 1000.0, scale=1.15), 17, 1000.0)
         assert freq == pytest.approx(125.0, abs=1e-9)
 
     def test_result_prefers_prony_side_candidate(self):
-        # Perturb the step-s generator: the returned frequency must follow
+        # Perturb the step-s observation: the returned frequency must follow
         # the s-set candidate, which carries the finer estimate.
         rate = 1000.0
         offset = 0.05
-        u_set = candidate_set(generator_for(125.0, 50, rate), rate)
-        s_set = candidate_set(generator_for(125.0 + offset, 17, rate), rate)
-        freq, dist = resolve_match(u_set, s_set)
+        freq, dist = resolve_match(cycles_for(125.0, 50, rate), 50,
+                                   cycles_for(125.0 + offset, 17, rate), 17,
+                                   rate)
         assert freq == pytest.approx(125.0 + offset, abs=1e-9)
         assert dist == pytest.approx(offset * 17 / 17, abs=1e-6)
 
     def test_all_far_raises_no_intersection(self):
-        # A hand-built set: 50 u-candidates all at 500 Hz sit 22 Hz from
-        # the nearest step-17 candidate, beyond half the 20 Hz spacing.
+        # At 2^60 cycles a_u + k rounds to a_u, so all 50 u-candidates sit
+        # at 520 Hz (mod 1000), 480 Hz from every step-17 candidate on the
+        # same rounding: beyond half the 20 Hz spacing.
         rate = 1000.0
-        u_set = CandidateSet(generator=generator_for(500.0, 50, rate),
-                             multiplicity=50, candidates=np.full(50, 500.0),
-                             rate_hz=rate)
-        s_set = candidate_set(generator_for(125.0, 17, rate), rate)
+        a_u = 2.0 ** 60
+        assert np.all(candidate_set(a_u, 50, rate) % rate == 520.0)
         with pytest.raises(NoIntersection):
-            resolve_match(u_set, s_set)
+            resolve_match(a_u, 50, cycles_for(125.0, 17, rate), 17, rate)
 
     def test_near_tie_raises_ambiguous(self):
         # U spacing 2 Hz, S spacing 3 Hz on a 6 Hz band; offsetting the
-        # s-generator by 0.4 Hz leaves two pairings within a factor two.
+        # s-observation by 0.4 Hz leaves two pairings within a factor two.
         rate = 6.0
-        u_set = candidate_set(generator_for(0.5, 3, rate), rate)
-        s_set = candidate_set(generator_for(1.9, 2, rate), rate)
         with pytest.raises(NoUniqueIntersection):
-            resolve_match(u_set, s_set)
+            resolve_match(cycles_for(0.5, 3, rate), 3,
+                          cycles_for(1.9, 2, rate), 2, rate)
 
     def test_circular_distance(self):
         assert circular_distance_hz(1.0, 999.0, 1000.0) == pytest.approx(2.0)
         assert circular_distance_hz(10.0, 30.0, 1000.0) == pytest.approx(20.0)
 
 
-def matrix_match(u_set, s_set):
+def matrix_match(u_set, s_set, rate):
     """Brute-force oracle: the full u x s circular distance matrix."""
-    rate = u_set.rate_hz
-    diff = np.abs(u_set.candidates[:, None] - s_set.candidates[None, :]) % rate
+    diff = np.abs(u_set[:, None] - s_set[None, :]) % rate
     dist = np.minimum(diff, rate - diff)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     best = float(dist[i, j])
-    if best > rate / (2 * u_set.multiplicity):
+    if best > rate / (2 * len(u_set)):
         raise NoIntersection("oracle")
     rest = dist.copy()
     rest[i, j] = np.inf
     if float(rest.min()) <= 2.0 * best:
         raise NoUniqueIntersection("oracle")
-    return float(s_set.candidates[j]), best
+    return float(s_set[j]), best
 
 
 def outcome(fn, *args):
@@ -240,13 +241,10 @@ class TestClosedFormPairing:
     """The lattice rounding against the full distance matrix: same pair,
     same distance bits, same error type."""
 
-    def check(self, g_u, g_s, rate):
-        u_set = candidate_set(g_u, rate)
-        s_set = candidate_set(g_s, rate)
-        want = outcome(matrix_match, u_set, s_set)
-        assert outcome(resolve_match, u_set, s_set) == want
-        assert outcome(resolve_cycles, g_u.angle_cycles, g_u.step,
-                       g_s.angle_cycles, g_s.step, rate) == want
+    def check(self, a_u, u, a_s, s, rate):
+        want = outcome(matrix_match, candidate_set(a_u, u, rate),
+                       candidate_set(a_s, s, rate), rate)
+        assert outcome(resolve_match, a_u, u, a_s, s, rate) == want
         return want
 
     @pytest.mark.parametrize("u,s", COPRIME_PAIRS)
@@ -256,11 +254,11 @@ class TestClosedFormPairing:
         outcomes = set()
         for _ in range(150):
             f = rng.uniform(0, rate)
-            # From an exact match to an unrelated s-generator.
+            # From an exact match to an unrelated s-observation.
             err = rng.choice([0.0, 1e-9, 1e-3, 0.1, 1.0]) * rate / (u * s)
             err = rate * rng.random() if rng.random() < 0.2 else err
-            want = self.check(generator_for(f, u, rate),
-                              generator_for(f + err, s, rate), rate)
+            want = self.check(cycles_for(f, u, rate), u,
+                              cycles_for(f + err, s, rate), s, rate)
             outcomes.add(want if isinstance(want, type) else tuple)
         if u * s > 2:
             assert outcomes >= {tuple, NoUniqueIntersection}
@@ -270,8 +268,8 @@ class TestClosedFormPairing:
         rate = 1000.0
         for f in (0.0, 1e-12, 1e-9, 1e-6, -1e-12, -1e-9, -1e-6):
             for shift in (0.0, 1e-7, -1e-7):
-                self.check(generator_for(f, u, rate),
-                           generator_for(f + shift, s, rate), rate)
+                self.check(cycles_for(f, u, rate), u,
+                           cycles_for(f + shift, s, rate), s, rate)
 
     @pytest.mark.parametrize("u,s", [(50, 17), (142, 17), (3, 2), (5, 3)])
     def test_ambiguity_boundary(self, u, s):
@@ -288,7 +286,8 @@ class TestClosedFormPairing:
                     a_s = (s * a_u - (math.floor(c) + side + nudge)) / u
                     if not 0.0 <= a_s < 1.0:
                         continue
-                    self.check(Generator(np.exp(2j * np.pi * a_u), u),
-                               Generator(np.exp(2j * np.pi * a_s), s), rate)
+                    self.check(angle_cycles(np.exp(2j * np.pi * a_u)), u,
+                               angle_cycles(np.exp(2j * np.pi * a_s)), s,
+                               rate)
                     checked += 1
         assert checked > 100

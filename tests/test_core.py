@@ -313,6 +313,14 @@ class TestSelectPeaks:
         spec = dft(make_signal([0, 0, 0, 0]))
         assert select_peaks(spec, 0.5) == []
 
+    def test_zero_bins_never_peaks(self):
+        # At threshold 0 the relative floor is 0 too; zero bins stay out.
+        from sparsespec import Spectrum
+        spec = Spectrum(bins=np.array([0, 2, 0, 1], dtype=np.complex128),
+                        bin_hz=1.0)
+        assert select_peaks(spec, 0.0) == [1, 3]
+        assert select_peaks(dft(make_signal([0, 0, 0, 0])), 0.0) == []
+
     def test_negative_threshold_rejected(self):
         spec = dft(make_signal([1, 1]))
         with pytest.raises(ValueError):

@@ -94,6 +94,17 @@ class TestAnalyze:
         res = analyze(x, HybridConfig(u=5, s=2, M=6, threshold=0.1))
         assert res.components == ()
 
+    def test_zero_signal_at_zero_threshold_has_no_candidates(self):
+        # A zero bin used to reach a zero threshold: 64 zero-amplitude
+        # dense components, and 16 candidates fit to rank 0 by analyze.
+        x = ComplexSignal(samples=np.zeros(64, dtype=np.complex128),
+                          rate_hz=64.0)
+        assert dense_reference(x, 0.0).components == ()
+        res = analyze(x, HybridConfig(u=4, s=1, M=3, threshold=0.0))
+        assert res.components == ()
+        assert res.diagnostics["peak_candidates"] == 0
+        assert res.diagnostics["bin_reports"] == []
+
     def test_peak_floor_relative_to_largest_peak(self):
         # The FFT's rounding leakage of a 1e16 tone, about 1e-15 of it in
         # every bin, still clears threshold * n; the relative floor keeps
@@ -163,7 +174,7 @@ class TestAnalyze:
         # report counts only the term that produced a component.
         x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], 100.0, 200)
         cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
-        real = pipeline.resolve_cycles
+        real = pipeline.resolve_match
         calls = []
 
         def second_fails(*args):
@@ -172,7 +183,7 @@ class TestAnalyze:
                 raise NoUniqueIntersection("two candidates")
             return real(*args)
 
-        monkeypatch.setattr(pipeline, "resolve_cycles", second_fails)
+        monkeypatch.setattr(pipeline, "resolve_match", second_fails)
         res = analyze(x, cfg)
         (b,) = res.diagnostics["peak_bins"]
         assert len(res.components) == 1
@@ -440,6 +451,21 @@ class TestStages:
             assert reports[j] == alone
             assert terms[j] == alone_terms
             assert terms[j]
+
+
+    @pytest.mark.parametrize("modulus, kept", [
+        (1.3, 0), (0.75, 0), (1.15, 1), (0.85, 1)])
+    def test_fit_keeps_roots_near_the_unit_circle(self, modulus, kept):
+        # One order-1 column p[m] = 2 z^m: a root farther than
+        # DEFAULT_UNIT_TOL = 0.2 from the unit circle is fit but not kept.
+        z = modulus * np.exp(0.7j)
+        column = (2.0 * z ** np.arange(12))[:, None]
+        (report,), (terms,) = pipeline.fit(column, [3], 1e-3, 12)
+        assert (report["rank"], report["error"]) == (1, None)
+        assert len(terms) == kept
+        for root, amp in terms:
+            assert root == pytest.approx(z, rel=1e-9)
+            assert amp == pytest.approx(2.0, rel=1e-9)
 
 
 class TestShortcut:
