@@ -21,8 +21,6 @@ from .aliasing import (
 )
 from .core import (
     ComplexSignal,
-    Spectrum,
-    StreamSet,
     StreamSpec,
     SynthSpec,
     ToneSpec,
@@ -43,7 +41,6 @@ from .errors import (
     IllConditionedVandermonde,
     IndexBudgetExceeded,
     NoConvergence,
-    NoIntersection,
     NonFiniteSamples,
     NotCoprime,
     NoUniqueIntersection,
@@ -82,7 +79,6 @@ __all__ = [
     "IllConditionedVandermonde",
     "IndexBudgetExceeded",
     "NoConvergence",
-    "NoIntersection",
     "NonFiniteSamples",
     "NotCoprime",
     "NoUniqueIntersection",
@@ -90,8 +86,6 @@ __all__ = [
     "RecoveredComponent",
     "SparseSpecError",
     "SparseSpectrum",
-    "Spectrum",
-    "StreamSet",
     "StreamSpec",
     "SynthSpec",
     "ToneSpec",

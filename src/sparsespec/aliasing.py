@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoIntersection, NotCoprime, NoUniqueIntersection
+from .errors import NotCoprime, NoUniqueIntersection
 
-# How far from the unit circle a pencil root may sit and still count as a
-# tone: analyze's root filter in ``fit``.
-DEFAULT_UNIT_TOL = 0.2
 DEFAULT_AMBIGUITY_FACTOR = 2.0
 
 
@@ -114,11 +111,10 @@ def resolve_match(a_u: float, u: int, a_s: float, s: int,
     sets (see :func:`candidate_set`) at angle cycles a_u and a_s.
 
     Returns the pair's step-s candidate, which carries the off-grid
-    precision of the parametric stage, and the pair's distance. Raises
-    NotCoprime when u and s share a factor, NoIntersection when the pair
-    is farther apart than rate_hz / (2 * u), half the step-u spacing, and
-    NoUniqueIntersection when the runner-up pair is within
-    ``DEFAULT_AMBIGUITY_FACTOR`` of its distance.
+    precision of the parametric stage, and the pair's distance, at most
+    rate_hz / (2 * u * s) up to rounding. Raises NotCoprime when u and s
+    share a factor and NoUniqueIntersection when the runner-up pair is
+    within ``DEFAULT_AMBIGUITY_FACTOR`` of its distance.
     """
     _check((a_u, a_s), (u, s))
     if math.gcd(u, s) != 1:
@@ -137,11 +133,6 @@ def resolve_match(a_u: float, u: int, a_s: float, s: int,
                                           (a_s + j) * rate_hz / s, rate_hz),
                      k, j) for k, j in pairs)
     best, j = float(ranked[0][0]), ranked[0][2]
-    tol_hz = rate_hz / (2 * u)
-    if best > tol_hz:
-        raise NoIntersection(
-            f"closest candidate pair {best:.6g} Hz apart exceeds tolerance "
-            f"{tol_hz:.6g} Hz")
     second = float(ranked[1][0]) if len(ranked) > 1 else math.inf
     if second <= DEFAULT_AMBIGUITY_FACTOR * best:
         raise NoUniqueIntersection(

@@ -17,7 +17,6 @@ from .errors import (
     IllConditionedPencil,
     IllConditionedVandermonde,
     NoConvergence,
-    NoIntersection,
     NoUniqueIntersection,
     SparseSpecError,
 )
@@ -41,8 +40,7 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (NoConvergence, IllConditionedPencil,
-                     IllConditionedVandermonde, NoIntersection,
-                     NoUniqueIntersection)
+                     IllConditionedVandermonde, NoUniqueIntersection)
 
 
 class _UsageError(Exception):
@@ -66,7 +64,8 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--out", required=True, help="output signal file")
     p_synth.add_argument("--seed", type=int, default=None,
                          help="override the spec seed")
-    p_synth.add_argument("--format", choices=("csv", "raw64"), default="csv")
+    p_synth.add_argument("--format", choices=("csv", "raw64"), default=None,
+                         help="output format (default: by file extension)")
 
     p_an = sub.add_parser("analyze", help="run the hybrid estimator")
     p_an.add_argument("--in", dest="infile", required=True)
@@ -112,11 +111,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _signal_format(path: str, fmt: str | None) -> str:
+    """``fmt``, or else the signal format of ``path``'s extension."""
+    raw = Path(path).suffix in (".raw64", ".raw", ".bin")
+    return fmt or ("raw64" if raw else "csv")
+
+
 def _read_signal(path: str, rate: float, fmt: str | None):
-    if fmt is None:
-        fmt = "raw64" if Path(path).suffix in (".raw64", ".raw", ".bin") \
-            else "csv"
-    if fmt == "raw64":
+    if _signal_format(path, fmt) == "raw64":
         return read_signal_raw64(path, rate)
     return read_signal_csv(path, rate)
 
@@ -139,7 +141,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     x = synthesize(spec)
-    if args.format == "raw64":
+    if _signal_format(args.out, args.format) == "raw64":
         write_signal_raw64(args.out, x)
     else:
         write_signal_csv(args.out, x)
@@ -161,7 +163,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_dft(args) -> int:
     x = _read_signal(args.infile, args.rate, args.format)
     if args.threshold is None:
-        write_spectrum_csv(args.out, dft(x))
+        write_spectrum_csv(args.out, dft(x), x.rate_hz / len(x))
         print(f"bins={len(x)} resolution_hz={x.rate_hz / len(x):.6g}")
     else:
         result = dense_reference(x, args.threshold)

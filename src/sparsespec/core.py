@@ -29,8 +29,6 @@ class ComplexSignal:
     Attributes:
         samples: complex sample values, stored C-contiguous.
         rate_hz: sample rate of the underlying grid, Hz.
-        origin_index: offset of sample 0 on the underlying grid (streams
-            extracted with a shift remember where they started).
 
     Raises:
         NonFiniteSamples: a sample is NaN or infinite.
@@ -38,7 +36,6 @@ class ComplexSignal:
 
     samples: np.ndarray
     rate_hz: float
-    origin_index: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.complex128, order="C")
@@ -51,8 +48,6 @@ class ComplexSignal:
                 f"sample {int(np.argmin(finite))} is NaN or infinite")
         if not 0 < self.rate_hz < math.inf:
             raise ValueError("rate_hz must be finite and positive")
-        if self.origin_index < 0:
-            raise ValueError("origin_index must be >= 0")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -89,25 +84,6 @@ class SynthSpec:
             raise ValueError("length must be at least 1")
         if self.rate_hz <= 0:
             raise ValueError("rate_hz must be positive")
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """DFT coefficients with their bin spacing in Hz."""
-
-    bins: np.ndarray
-    bin_hz: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        object.__setattr__(self, "bins", arr)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("bins must be a non-empty 1-d sequence")
-        if not self.bin_hz > 0:
-            raise ValueError("bin_hz must be positive")
-
-    def __len__(self) -> int:
-        return self.bins.size
 
 
 @dataclass(frozen=True)
@@ -155,17 +131,6 @@ class StreamSpec:
         return self.u * (n - 1) + (self.M - 1) * self.s + 1
 
 
-@dataclass(frozen=True)
-class StreamSet:
-    """The extracted sub-streams, in shift order."""
-
-    streams: tuple[ComplexSignal, ...]
-    spec: StreamSpec
-
-    def __len__(self) -> int:
-        return len(self.streams)
-
-
 def synthesize(spec: SynthSpec) -> ComplexSignal:
     """Sum of tones x_l = sum_i alpha_i exp(2i pi mu_i l / R), plus noise.
 
@@ -195,17 +160,15 @@ def max_stream_length(source_length: int, u: int, s: int, M: int) -> int:
     return (source_length - 1 - (M - 1) * s) // u + 1
 
 
-def dft(x: ComplexSignal) -> Spectrum:
-    """Discrete Fourier transform, bins[j] = sum_l x_l exp(-2*pi*i*l*j/N)."""
-    bins = np.fft.fft(x.samples)
-    return Spectrum(bins=bins, bin_hz=x.rate_hz / len(x))
+def dft(x: ComplexSignal) -> np.ndarray:
+    """Discrete Fourier transform, bins[j] = sum_l x_l exp(-2*pi*i*l*j/N).
+    Bin j sits at j * x.rate_hz / N Hz."""
+    return np.fft.fft(x.samples)
 
 
-def idft(spectrum: Spectrum, rate_hz: float | None = None) -> ComplexSignal:
-    """Inverse transform; ``rate_hz`` defaults to bin_hz * N."""
-    n = len(spectrum)
-    rate = rate_hz if rate_hz is not None else spectrum.bin_hz * n
-    return ComplexSignal(samples=np.fft.ifft(spectrum.bins), rate_hz=rate)
+def idft(bins: np.ndarray, rate_hz: float) -> ComplexSignal:
+    """Inverse transform of the DFT values ``bins``, sampled at ``rate_hz``."""
+    return ComplexSignal(samples=np.fft.ifft(bins), rate_hz=rate_hz)
 
 
 def dft_direct(samples: np.ndarray) -> np.ndarray:
@@ -259,8 +222,7 @@ def circular_shift(x: ComplexSignal, s: int) -> ComplexSignal:
     """Periodic time shift: sample l of the result is x[(l + s) mod N]."""
     n = len(x)
     idx = (np.arange(n) + s) % n
-    return ComplexSignal(samples=x.samples[idx], rate_hz=x.rate_hz,
-                         origin_index=x.origin_index)
+    return ComplexSignal(samples=x.samples[idx], rate_hz=x.rate_hz)
 
 
 def stream_view(a: np.ndarray, spec: StreamSpec,
@@ -284,26 +246,22 @@ def stream_view(a: np.ndarray, spec: StreamSpec,
     return view
 
 
-def extract_streams(x: ComplexSignal, spec: StreamSpec) -> StreamSet:
-    """Pull the M decimated, shifted sub-streams out of ``x``.
+def extract_streams(x: ComplexSignal, spec: StreamSpec) -> np.ndarray:
+    """The M decimated, shifted sub-streams of ``x`` as an M x n copy.
 
-    Stream m, index l holds x[u*l + m*s] (see :func:`stream_view`), copied
-    out of ``x``. Each stream records its shift as ``origin_index``.
+    Row m, column l holds x[u*l + m*s] (see :func:`stream_view`); each row
+    is sampled at x.rate_hz / u.
 
     Raises:
         IndexBudgetExceeded: a requested sample would fall past the end of
             ``x`` and wrapping is off.
     """
-    rows = np.array(stream_view(x.samples, spec))
-    return StreamSet(streams=tuple(
-        ComplexSignal(samples=row, rate_hz=x.rate_hz / spec.u,
-                      origin_index=m * spec.s)
-        for m, row in enumerate(rows)), spec=spec)
+    return np.array(stream_view(x.samples, spec))
 
 
-def select_peaks(spectrum: Spectrum, threshold: float) -> list[int]:
-    """The indices of all bins with |X_j| >= threshold and |X_j| > 0,
-    strongest first.
+def select_peaks(bins: np.ndarray, threshold: float) -> list[int]:
+    """The indices j of all DFT values ``bins`` with |X_j| >= threshold and
+    |X_j| > 0, strongest first.
 
     Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
     whatever the threshold: they are that peak's rounding leakage. Ties in
@@ -312,7 +270,7 @@ def select_peaks(spectrum: Spectrum, threshold: float) -> list[int]:
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    mags = np.abs(spectrum.bins)
+    mags = np.abs(bins)
     floor = max(threshold, PEAK_FLOOR_REL * mags.max())
     hits = np.flatnonzero((mags >= floor) & (mags > 0))
     return hits[np.argsort(-mags[hits], kind="stable")].tolist()

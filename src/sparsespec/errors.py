@@ -9,10 +9,6 @@ class NotCoprime(SparseSpecError):
     """The undersampling stride and the shift must be coprime."""
 
 
-class NoIntersection(SparseSpecError):
-    """No candidate pair closer than the matching tolerance."""
-
-
 class NoUniqueIntersection(SparseSpecError):
     """Second-best candidate pair too close to the best one."""
 

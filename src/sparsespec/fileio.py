@@ -27,7 +27,7 @@ from types import NoneType
 
 import numpy as np
 
-from .core import ComplexSignal, Spectrum, SynthSpec, ToneSpec
+from .core import ComplexSignal, SynthSpec, ToneSpec
 from .pipeline import RecoveredComponent, HybridConfig, SparseSpectrum
 
 COMPONENT_HEADER = ("freq_hz,re,im,magnitude,source_bin,collision_order,"
@@ -177,10 +177,11 @@ def write_signal_raw64(path: str | Path, x: ComplexSignal) -> None:
     x.samples.astype("<c16", copy=False).tofile(path)
 
 
-def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> None:
+def write_spectrum_csv(path: str | Path, bins: np.ndarray,
+                       bin_hz: float) -> None:
+    """The DFT values ``bins``, bin j at j * ``bin_hz`` Hz."""
     write_table(path, ("bin_index", "freq_hz", "re", "im", "magnitude"), (
-        (j, j * spectrum.bin_hz, v.real, v.imag, abs(v))
-        for j, v in enumerate(spectrum.bins)))
+        (j, j * bin_hz, v.real, v.imag, abs(v)) for j, v in enumerate(bins)))
 
 
 def write_components_csv(path: str | Path, result: SparseSpectrum) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .aliasing import circular_distance_hz
-from .core import StreamSpec, SynthSpec, ToneSpec, stream_view, synthesize
+from .core import SynthSpec, ToneSpec, stream_view, synthesize
 from .fileio import write_key_values, write_table
 from .pipeline import (
     HybridConfig,
@@ -25,6 +25,7 @@ from .pipeline import (
     SparseSpectrum,
     analyze,
     dense_reference,
+    plan,
 )
 
 EXPERIMENT_1_TONES = (
@@ -162,8 +163,7 @@ def run_experiment_1(out_dir: str | Path, seed: int = 0) -> dict:
         report = evaluate(spec, hybrid, tol_hz=0.5)
 
         n = hybrid.diagnostics["stream_length"]
-        spectra = np.fft.fft(stream_view(
-            x.samples, StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=n)), axis=1)
+        spectra = np.fft.fft(stream_view(x.samples, plan(cfg, len(x))))
         bin_hz = x.rate_hz / cfg.u / n
         write_table(run_dir / "streams.csv", (
             "bin_index", "freq_hz", *(f"mag_{m}" for m in range(cfg.M))), [

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .aliasing import (
-    DEFAULT_UNIT_TOL,
     BezoutPair,
     angle_cycles,
     bezout,
@@ -34,7 +33,6 @@ from .aliasing import (
 )
 from .core import (
     ComplexSignal,
-    Spectrum,
     StreamSpec,
     dft,
     dft_at,
@@ -47,7 +45,6 @@ from .errors import (
     IllConditionedPencil,
     IllConditionedVandermonde,
     NoConvergence,
-    NoIntersection,
     NotCoprime,
     NoUniqueIntersection,
 )
@@ -61,6 +58,9 @@ from .prony import (
 )
 
 RESOLVERS = ("match", "bezout")
+# How far from the unit circle a pencil root may sit and still count as a
+# tone: the root filter in ``fit``.
+DEFAULT_UNIT_TOL = 0.2
 SHORTCUT_CONDITION_CAP = 1e10
 # Noise-only false-alarm rates of the two detection stages: per reference
 # bin for a candidate, per record for a confirmed peak bin.
@@ -277,21 +277,20 @@ def plan(cfg: HybridConfig, length: int) -> StreamSpec:
 
 
 def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
-           ) -> tuple[float, list[int], np.ndarray, np.ndarray, dict]:
+           ) -> tuple[float, list[int], np.ndarray, int, dict]:
     """Gather the plan's streams and find the confirmed peak bins.
 
     Returns sigma, the bins, their M x K coefficients (column j for bin
-    j), the mask of the record samples read and the gather's diagnostics
-    (``per_stream_samples``, ``peak_candidates``, ``shortcut_conditions``,
-    ``shortcut_fallbacks``).
+    j), the number of distinct record samples read and the gather's
+    diagnostics (``per_stream_samples``, ``peak_candidates``,
+    ``shortcut_conditions``, ``shortcut_fallbacks``).
 
     Each thread keeps its read mask (1 byte per record sample, whole
     periods of it for a wrapping plan) and its reference stream (16 bytes
     per stream sample, transformed in place) between calls, reused at the
     same sizes: allocated afresh, arrays that size fault their pages in
     again on every call, about 1,500 faults on a 2^20-sample record at
-    u = 16 with glibc. The returned mask is the kept array itself unless
-    the plan wraps past the record; nothing else returned refers to one.
+    u = 16 with glibc. Nothing returned refers to them.
     """
     n, M = spec.n, cfg.M
     # The read mask covers whole periods of the record, so a wrapping plan
@@ -317,10 +316,8 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
     reference[:] = streams[0] if rows is None else rows[0]
     np.fft.fft(reference, out=reference)
     noise = estimate_noise(reference)
-    candidates = select_peaks(
-        Spectrum(bins=reference, bin_hz=x.rate_hz / cfg.u / n),
-        max(cfg.threshold * n,
-            noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))))
+    floor = noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))
+    candidates = select_peaks(reference, max(cfg.threshold * n, floor))
     K = len(candidates)
     gathered = {"per_stream_samples": [n] * M, "peak_candidates": K,
                 "shortcut_conditions": [], "shortcut_fallbacks": 0}
@@ -355,7 +352,8 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
     bins = [b for b, ok in zip(candidates, keep.tolist()) if ok]
     if read.size > len(x):
         read = read.reshape(-1, len(x)).any(0)
-    return noise, bins, coeffs[:, keep], read, gathered
+    used = int(np.count_nonzero(read))
+    return noise, bins, coeffs[:, keep], used, gathered
 
 
 def fit(coeffs: np.ndarray, bins: list[int], noise: float, M: int
@@ -421,7 +419,7 @@ def resolve(reports: list[dict], terms: list[list[tuple[complex, complex]]],
                     match_distance_hz=float(dist),
                     residual=report["residual"]))
                 report["kept"] += 1
-        except (NoIntersection, NoUniqueIntersection) as exc:
+        except NoUniqueIntersection as exc:
             report.update(error=type(exc).__name__, detail=str(exc))
     fine_res = rate_hz / (spec.u * n)
     components = _merge_components(components, fine_res / 2.0, rate_hz)
@@ -439,7 +437,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
     """
     spec = plan(cfg, len(x))
     n, rate = spec.n, x.rate_hz
-    noise, bins, coeffs, read, gathered = detect(x, cfg, spec)
+    noise, bins, coeffs, used, gathered = detect(x, cfg, spec)
     reports, terms = fit(coeffs, bins, noise, cfg.M)
     bez = bezout(cfg.u, cfg.s) if cfg.resolver == "bezout" else None
     components = resolve(reports, terms, spec, rate, bez)
@@ -447,7 +445,7 @@ def analyze(x: ComplexSignal, cfg: HybridConfig) -> SparseSpectrum:
         "stream_length": n,
         "noise_sigma": noise,
         "fine_grid_size": cfg.u * n,
-        "samples_used": int(np.count_nonzero(read)),
+        "samples_used": used,
         "per_stream_samples": gathered["per_stream_samples"],
         "peak_candidates": gathered["peak_candidates"],
         "peak_bins": [int(b) for b in bins],
@@ -475,12 +473,12 @@ def dense_reference(x: ComplexSignal, threshold: float) -> SparseSpectrum:
     if not 0 <= threshold < math.inf:
         raise ValueError("threshold must be finite and nonnegative")
     big = len(x)
-    spectrum = dft(x)
+    bins, bin_hz = dft(x), x.rate_hz / big
     comps = []
-    for b in select_peaks(spectrum, threshold * big):
+    for b in select_peaks(bins, threshold * big):
         comps.append(RecoveredComponent(
-            freq_hz=float(b * spectrum.bin_hz),
-            amplitude=complex(spectrum.bins[b]) / big,
+            freq_hz=float(b * bin_hz),
+            amplitude=complex(bins[b]) / big,
             source_bin=int(b),
             collision_order=1))
     comps.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))

@@ -13,7 +13,6 @@ import pytest
 from sparsespec import (
     ComplexSignal,
     NotCoprime,
-    Spectrum,
     StreamSpec,
     analyze,
     angle_cycles,
@@ -71,7 +70,7 @@ def test_criterion_1_kernel_correctness(capsys):
         del lj
         for trial in range(how_many):
             x = random_signal(rng, n)
-            fast = dft(x).bins
+            fast = dft(x)
             slow = w @ x.samples
             scale = np.linalg.norm(slow)
             worst = max(worst, np.linalg.norm(fast - slow) / scale)
@@ -103,8 +102,8 @@ def test_criterion_2_shift_identity(capsys):
         u = int(rng.choice(divisors))
         s = int(rng.integers(1, n))
         x = random_signal(rng, n)
-        base = dft(x).bins
-        shifted = dft(circular_shift(x, s)).bins
+        base = dft(x)
+        shifted = dft(circular_shift(x, s))
         phase = np.exp(2j * np.pi * s * np.arange(n) / n)
         assert np.linalg.norm(shifted - phase * base) \
             <= 1e-9 * np.linalg.norm(base)
@@ -116,10 +115,10 @@ def test_criterion_2_shift_identity(capsys):
         spec = StreamSpec(u=u, s=s, M=3, n=n // u, wrap=True) \
             if math.gcd(u, s) == 1 else None
         if spec is not None:
-            streams = extract_streams(tone, spec)
-            s0 = dft(streams.streams[0]).bins
+            rows = extract_streams(tone, spec)
+            s0 = np.fft.fft(rows[0])
             for m in (1, 2):
-                got = dft(streams.streams[m]).bins
+                got = np.fft.fft(rows[m])
                 ratio = np.exp(2j * np.pi * m * s * j / n)
                 assert np.linalg.norm(got - ratio * s0) \
                     <= 1e-9 * np.linalg.norm(s0)
@@ -323,7 +322,7 @@ def test_criterion_8_vandermonde_shortcut(capsys):
     bins = list(range(4))
     (vals,), cond = shifted_coeffs_shortcut(x, bins, spec)
     assert abs(cond - 1.0) <= 1e-9
-    direct = dft(extract_streams(x, spec).streams[1]).bins
+    direct = np.fft.fft(extract_streams(x, spec)[1])
     scale = max(float(np.abs(direct).max()), 1.0)
     for b, v in zip(bins, vals):
         assert abs(v - direct[b]) <= 1e-8 * scale

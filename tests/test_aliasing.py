@@ -7,7 +7,6 @@ import pytest
 
 from sparsespec import (
     BezoutPair,
-    NoIntersection,
     NotCoprime,
     NoUniqueIntersection,
     angle_cycles,
@@ -187,15 +186,22 @@ class TestResolveMatch:
         assert freq == pytest.approx(125.0 + offset, abs=1e-9)
         assert dist == pytest.approx(offset * 17 / 17, abs=1e-6)
 
-    def test_all_far_raises_no_intersection(self):
+    def test_all_far_raises_no_unique_intersection(self):
         # At 2^60 cycles a_u + k rounds to a_u, so all 50 u-candidates sit
-        # at 520 Hz (mod 1000), 480 Hz from every step-17 candidate on the
-        # same rounding: beyond half the 20 Hz spacing.
+        # at 520 Hz (mod 1000): every pair is as far apart as its
+        # runner-up.
         rate = 1000.0
         a_u = 2.0 ** 60
         assert np.all(candidate_set(a_u, 50, rate) % rate == 520.0)
-        with pytest.raises(NoIntersection):
+        with pytest.raises(NoUniqueIntersection):
             resolve_match(a_u, 50, cycles_for(125.0, 17, rate), 17, rate)
+
+    def test_exact_tie_at_unit_step_is_ambiguous(self):
+        # c = s a_u - u a_s falls halfway between two integers: the two
+        # nearest pairs are R / (2 u s) = 42.67 Hz apart each, a tie.
+        with pytest.raises(NoUniqueIntersection):
+            resolve_match(0.24569965899738366, 6, 0.12428327649956394, 1,
+                          512.0)
 
     def test_near_tie_raises_ambiguous(self):
         # U spacing 2 Hz, S spacing 3 Hz on a 6 Hz band; offsetting the
@@ -216,8 +222,6 @@ def matrix_match(u_set, s_set, rate):
     dist = np.minimum(diff, rate - diff)
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     best = float(dist[i, j])
-    if best > rate / (2 * len(u_set)):
-        raise NoIntersection("oracle")
     rest = dist.copy()
     rest[i, j] = np.inf
     if float(rest.min()) <= 2.0 * best:
@@ -228,7 +232,7 @@ def matrix_match(u_set, s_set, rate):
 def outcome(fn, *args):
     try:
         freq, dist = fn(*args)
-    except (NoIntersection, NoUniqueIntersection) as exc:
+    except NoUniqueIntersection as exc:
         return type(exc)
     return np.float64(freq).tobytes(), np.float64(dist).tobytes()
 

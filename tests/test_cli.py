@@ -12,6 +12,7 @@ from sparsespec import cli
 from sparsespec.fileio import (
     read_components_csv,
     read_config,
+    read_signal_raw64,
     write_config,
     write_signal_csv,
     write_signal_raw64,
@@ -324,6 +325,22 @@ class TestSynth:
                         + ANALYZE_FLAGS) == 0
         freqs = sorted(c.freq_hz for c in read_components_csv(out))
         assert np.allclose(freqs, [125.0, 165.0, 245.0], atol=1e-6)
+
+    def test_synth_to_raw64_round_trips_bit_for_bit(self, tmp_path):
+        # The format follows the extension, as analyze and dft read it;
+        # this once wrote CSV text into the .raw64 file.
+        spec = replace(SIGNAL3, snr_db=10.0, seed=3)
+        spec_path = tmp_path / "spec.txt"
+        write_synth_spec(spec_path, spec)
+        sig = tmp_path / "sig.raw64"
+        assert cli.main(["synth", "--spec", str(spec_path),
+                         "--out", str(sig)]) == 0
+        back = read_signal_raw64(sig, spec.rate_hz)
+        assert back.samples.tobytes() == synthesize(spec).samples.tobytes()
+        # --format still overrides the extension.
+        assert cli.main(["synth", "--spec", str(spec_path), "--out",
+                         str(sig), "--format", "csv"]) == 0
+        assert sig.read_text().startswith("re,im\n")
 
     def test_missing_spec_exit_two(self, tmp_path):
         assert cli.main(["synth", "--spec", str(tmp_path / "nope.txt"),

@@ -193,10 +193,11 @@ class TestSpectrumFiles:
     def test_spectrum_header(self, tmp_path):
         from sparsespec import dft
         path = tmp_path / "spec.csv"
-        write_spectrum_csv(path, dft(sample_signal()))
+        write_spectrum_csv(path, dft(sample_signal()), 2.0)
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_index,freq_hz,re,im,magnitude"
         assert len(lines) == 33
+        assert lines[4].startswith("3,6.0,")
 
     def test_components_round_trip(self, tmp_path):
         from sparsespec import HybridConfig, analyze

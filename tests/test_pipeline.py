@@ -25,7 +25,6 @@ from sparsespec import (
     analyze,
     circular_distance_hz,
     dense_reference,
-    dft,
     extract_streams,
     max_stream_length,
     pipeline,
@@ -380,10 +379,10 @@ class TestDenseReference:
         assert dense_reference(x, 0.1).components == ()
 
     def test_one_hot_bin(self):
-        from sparsespec import Spectrum, idft
+        from sparsespec import idft
         bins = np.zeros(32, dtype=np.complex128)
         bins[7] = 32.0
-        x = idft(Spectrum(bins=bins, bin_hz=1.0), rate_hz=32.0)
+        x = idft(bins, rate_hz=32.0)
         dense = dense_reference(x, 0.5)
         assert len(dense.components) == 1
         assert dense.components[0].freq_hz == pytest.approx(7.0)
@@ -478,7 +477,7 @@ class TestShortcut:
         bins = list(range(4))
         (vals,), cond = shifted_coeffs_shortcut(x, bins, spec)
         assert cond == pytest.approx(1.0, abs=1e-9)
-        direct = dft(extract_streams(x, spec).streams[1]).bins
+        direct = np.fft.fft(extract_streams(x, spec)[1])
         for b, v in zip(bins, vals):
             assert abs(v - direct[b]) <= 1e-8 * max(np.abs(direct).max(), 1)
 
@@ -711,9 +710,9 @@ class TestBatchedStreams:
         shortcut = pipeline.shifted_coeffs_shortcut
         seen, forced = {}, set()
 
-        def capture_peaks(spectrum, threshold):
-            seen["ref"] = spectrum.bins.copy()
-            return select_peaks(spectrum, threshold)
+        def capture_peaks(bins, threshold):
+            seen["ref"] = bins.copy()
+            return select_peaks(bins, threshold)
 
         def capture_coeffs(coeffs, bins):
             seen["coeffs"] = coeffs.copy()
@@ -772,8 +771,8 @@ class TestBatchedStreams:
             collided += want < sum(counts)
 
             streams = extract_streams(x, StreamSpec(u=u, s=s, M=M, n=n,
-                                                    wrap=wrap)).streams
-            direct = [dft(st).bins for st in streams]
+                                                    wrap=wrap))
+            direct = [np.fft.fft(st) for st in streams]
             assert np.array_equal(seen["ref"], direct[0])
             exact = range(M)
             if cfg.shortcut_shifted:
@@ -785,7 +784,7 @@ class TestBatchedStreams:
                                   direct[0][d["peak_bins"]])
             eps = np.finfo(float).eps
             for m in exact[1:]:
-                bound = 8 * eps * np.abs(streams[m].samples).sum()
+                bound = 8 * eps * np.abs(streams[m]).sum()
                 assert np.all(np.abs(seen["coeffs"][m]
                                      - direct[m][d["peak_bins"]]) <= bound)
         assert collided > 10 and fallbacks > 10
@@ -945,34 +944,52 @@ class TestRobustness:
                     pass
 
 
-# Run in a fresh interpreter: a 2^16-sample shortcut record whose shifted
-# streams all fall back to the full path's peak-bin DFT, and a 2^20-sample
-# record read in eight full streams. Prints the components bit for bit.
-_THREAD_SCRIPT = """
-from sparsespec import (HybridConfig, NoConvergence, analyze,
-                        max_stream_length, pipeline)
+# Run in a fresh interpreter: analyze on-grid records of three tones and
+# print, for each, the shortcut fallbacks, the component count and the node
+# condition when the shortcut was taken, then the components bit for bit.
+_RECORDS_SCRIPT = """
+from sparsespec import HybridConfig, analyze, max_stream_length, pipeline
 from sparsespec.lab import SynthSpec, ToneSpec, synthesize
+
+def run(records):
+    for length, cfg in records:
+        fine = cfg.u * max_stream_length(length, cfg.u, cfg.s, cfg.M)
+        tones = tuple(ToneSpec(mu_hz=k * 10000.0 / fine, amplitude=a)
+                      for k, a in ((fine // 9, 1.0), (fine // 3 + 7, 0.7j),
+                                   (fine - 5, -0.9 + 0.2j)))
+        x = synthesize(SynthSpec(tones=tones, rate_hz=10000.0,
+                                 length=length))
+        res = analyze(x, cfg)
+        d = res.diagnostics
+        print(d["shortcut_fallbacks"], len(res.components),
+              *(c.hex() for c in d["shortcut_conditions"][:1]))
+        for c in res.components:
+            print(c.freq_hz.hex(), c.amplitude.real.hex(),
+                  c.amplitude.imag.hex(), c.residual.hex())
+"""
+
+# A 2^16-sample shortcut record whose shifted streams all fall back to the
+# full path's peak-bin DFT, and a 2^20-sample record read in eight full
+# streams.
+_THREAD_SCRIPT = _RECORDS_SCRIPT + """
+from sparsespec import NoConvergence
 
 def no_convergence(a):
     raise NoConvergence("forced")
 
 pipeline.svd_small = no_convergence
-records = [
-    (2 ** 16, HybridConfig(u=8, s=3, M=8, resolver="bezout",
-                           shortcut_shifted=True)),
-    (2 ** 20, HybridConfig(u=16, s=5, M=8, resolver="bezout")),
-]
-for length, cfg in records:
-    fine = cfg.u * max_stream_length(length, cfg.u, cfg.s, cfg.M)
-    tones = tuple(ToneSpec(mu_hz=k * 10000.0 / fine, amplitude=a)
-                  for k, a in ((fine // 9, 1.0), (fine // 3 + 7, 0.7j),
-                               (fine - 5, -0.9 + 0.2j)))
-    x = synthesize(SynthSpec(tones=tones, rate_hz=10000.0, length=length))
-    res = analyze(x, cfg)
-    print(res.diagnostics["shortcut_fallbacks"], len(res.components))
-    for c in res.components:
-        print(c.freq_hz.hex(), c.amplitude.real.hex(),
-              c.amplitude.imag.hex(), c.residual.hex())
+run([(2 ** 16, HybridConfig(u=8, s=3, M=8, resolver="bezout",
+                            shortcut_shifted=True)),
+     (2 ** 20, HybridConfig(u=16, s=5, M=8, resolver="bezout"))])
+"""
+
+# The same geometries with the shortcut taken: each record's shifted
+# streams come from one K x K node-matrix solve.
+_SHORTCUT_THREAD_SCRIPT = _RECORDS_SCRIPT + """
+run([(2 ** 16, HybridConfig(u=8, s=3, M=8, resolver="bezout",
+                            shortcut_shifted=True)),
+     (2 ** 20, HybridConfig(u=16, s=5, M=8, resolver="bezout",
+                            shortcut_shifted=True))])
 """
 
 
@@ -1019,6 +1036,14 @@ class TestThreadIndependence:
         outputs = _outputs_at_one_and_two_blas_threads(_THREAD_SCRIPT)
         lines = outputs[0].splitlines()
         assert lines[0] == "7 3" and "0 3" in lines
+        assert outputs[0] == outputs[1]
+
+    def test_shortcut_identical_at_one_and_two_blas_threads(self):
+        outputs = _outputs_at_one_and_two_blas_threads(
+            _SHORTCUT_THREAD_SCRIPT)
+        heads = [ln.split() for ln in outputs[0].splitlines()
+                 if not ln.startswith("0x")]
+        assert [(h[:2], len(h)) for h in heads] == [(["0", "3"], 3)] * 2
         assert outputs[0] == outputs[1]
 
     def test_peak_bin_dft_identical_at_one_and_two_blas_threads(self):
