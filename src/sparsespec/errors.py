@@ -14,7 +14,7 @@ class NoUniqueIntersection(SparseSpecError):
 
 
 class NonFiniteSamples(SparseSpecError):
-    """A signal sample is NaN or infinite."""
+    """A signal sample, or a value of its spectrum, is NaN or infinite."""
 
 
 class IndexBudgetExceeded(SparseSpecError):

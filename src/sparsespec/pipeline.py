@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     dft,
     dft_at,
     extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
+    run_aside,
     select_peaks,
     stream_view,
 )
@@ -291,6 +292,13 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
     same sizes: allocated afresh, arrays that size fault their pages in
     again on every call, about 1,500 faults on a 2^20-sample record at
     u = 16 with glibc. Nothing returned refers to them.
+
+    Without the shortcut, the gather of all M streams (M * n samples)
+    runs on a helper thread from ``run_aside`` while this thread copies
+    stream 0 on its own, transforms it and picks the candidates; the
+    helper is joined before this call goes on or raises. The helper calls
+    nothing a tracer patches. The gathered values are copies either way,
+    so the bits do not depend on which thread made them.
     """
     n, M = spec.n, cfg.M
     # The read mask covers whole periods of the record, so a wrapping plan
@@ -302,22 +310,34 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
 
     # All M streams are gathered in one column-major copy, so that
     # dft_at's blocked products read the shifted streams' columns without
-    # another copy. Without the shortcut stream 0 is copied out of it while
-    # it is in cache; the shortcut reads only stream 0 in full and K
-    # samples of each other stream, and gathers them all only when it falls
-    # back. Candidate picking needs the whole reference spectrum, the
-    # shifted streams only the candidates.
-    def gather() -> np.ndarray:
+    # another copy. The shortcut reads only stream 0 in full and K samples
+    # of each other stream, and gathers them all only when it falls back,
+    # inline. Candidate picking needs the whole reference spectrum, the
+    # shifted streams only the candidates. This thread allocates the copy:
+    # allocated on the helper, glibc serves it from the helper's own arena
+    # and a 2^20-sample run kept up to 16 MB more at its peak.
+    def gather(rows: np.ndarray) -> None:
         marks[:] = True
-        return np.array(streams, order="F")
+        rows[...] = streams
 
-    rows = None if cfg.shortcut_shifted else gather()
-    reference = _work_array("reference", n, np.complex128)
-    reference[:] = streams[0] if rows is None else rows[0]
-    np.fft.fft(reference, out=reference)
-    noise = estimate_noise(reference)
-    floor = noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))
-    candidates = select_peaks(reference, max(cfg.threshold * n, floor))
+    rows = join = None
+    if not cfg.shortcut_shifted:
+        rows = np.empty((M, n), np.complex128, order="F")
+        join = run_aside(partial(gather, rows), M * n)
+    try:
+        reference = _work_array("reference", n, np.complex128)
+        # Copied from the gathered rows while they are in cache, unless a
+        # helper is still writing them.
+        reference[:] = streams[0] if join or rows is None else rows[0]
+        np.fft.fft(reference, out=reference)
+        noise = estimate_noise(reference)
+        floor = noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))
+        candidates = select_peaks(reference, max(cfg.threshold * n, floor))
+    finally:
+        # The helper writes this thread's read mask: it must be done before
+        # the next call can clear it.
+        if join:
+            join()
     K = len(candidates)
     gathered = {"per_stream_samples": [n] * M, "peak_candidates": K,
                 "shortcut_conditions": [], "shortcut_fallbacks": 0}
@@ -331,7 +351,8 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
             # One node matrix serves every shifted stream, so they all
             # fall back together to the full path below.
             gathered["shortcut_fallbacks"] = M - 1
-            rows = gather()
+            rows = np.empty((M, n), np.complex128, order="F")
+            gather(rows)
         else:
             gathered["shortcut_conditions"] = [cond] * (M - 1)
             gathered["per_stream_samples"][1:] = [K] * (M - 1)

@@ -40,6 +40,16 @@ def write_signal3(tmp_path):
     return path
 
 
+def write_overflowing_tone(tmp_path):
+    """A finite 1000-sample record, 1.7e308 * exp(2i pi 0.3125 l), whose
+    transforms overflow."""
+    path = tmp_path / "big.csv"
+    l = np.arange(1000)
+    write_signal_csv(path, ComplexSignal(
+        samples=1.7e308 * np.exp(2j * np.pi * 0.3125 * l), rate_hz=1000.0))
+    return path
+
+
 ANALYZE_FLAGS = ["--rate", "1000", "--u", "50", "--s", "17", "--M", "12",
                  "--threshold", "0.2", "--stream-len", "16"]
 
@@ -124,6 +134,17 @@ class TestAnalyze:
                          "--out", str(tmp_path / "x.csv")] + ANALYZE_FLAGS)
         assert code == 2
         assert "sample 4 is NaN or infinite" in capsys.readouterr().err
+
+    def test_overflowing_spectrum_exit_two(self, tmp_path, capsys):
+        # Finite samples whose stream transforms overflow once printed
+        # components=0 and exited 0.
+        sig = write_overflowing_tone(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["analyze", "--in", str(sig),
+                             "--out", str(tmp_path / "x.csv")]
+                            + ANALYZE_FLAGS)
+        assert code == 2
+        assert "spectrum overflowed" in capsys.readouterr().err
 
     def test_two_stream_zero_ratio_exit_zero(self, tmp_path, capsys):
         samples = np.zeros(1000, dtype=np.complex128)
@@ -362,6 +383,15 @@ class TestDft:
                          "--threshold", "0.2", "--out", str(out)]) == 0
         freqs = sorted(c.freq_hz for c in read_components_csv(out))
         assert np.allclose(freqs, [125.0, 165.0, 245.0], atol=1e-9)
+
+    def test_overflowing_spectrum_exit_two(self, tmp_path, capsys):
+        sig = write_overflowing_tone(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["dft", "--in", str(sig), "--rate", "1000",
+                             "--threshold", "0.2",
+                             "--out", str(tmp_path / "comps.csv")])
+        assert code == 2
+        assert "spectrum overflowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_exit_two(self, tmp_path, capsys, value):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsespec import core
 from sparsespec import (
     ComplexSignal,
     IndexBudgetExceeded,
@@ -135,6 +136,25 @@ class TestDftAt:
             got = dft_at(x, bins)
             assert np.all(np.abs(got - want) <= 8 * self.EPS * norm1)
             assert np.array_equal(dft_at(np.asfortranarray(x), bins), got)
+
+    @pytest.mark.parametrize("n", [200, 65537, 1000003])
+    def test_split_product_is_bit_equal(self, monkeypatch, n):
+        # From PARALLEL_MIN_SAMPLES on, a helper thread computes the first
+        # half of the stacked block product. Every block is the same BLAS
+        # call either way, so split and unsplit give the same bits; at
+        # n = 200 the one block stays on the caller's side of the split.
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(n)
+        for rows in (1, 7):
+            # Column-major rows, as analyze gathers them.
+            x = rng.standard_normal((n, rows, 2)).view(np.complex128)[..., 0].T
+            for k in (1, 4, int(math.log2(n))):
+                bins = rng.choice(n, size=k, replace=False)
+                out = []
+                for gate in (0, math.inf):
+                    monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", gate)
+                    out.append(dft_at(x, bins).tobytes())
+                assert out[0] == out[1]
 
     def test_fft_side_is_the_fft(self):
         rng = np.random.default_rng(12)
@@ -306,3 +326,10 @@ class TestSelectPeaks:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             select_peaks(dft(make_signal([1, 1])), -1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_spectrum_raises(self, bad):
+        # What finite samples leave when their transform overflows.
+        bins = np.array([1.0, bad, 2.0], dtype=np.complex128)
+        with pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
+            select_peaks(bins, 0.5)

@@ -1,9 +1,12 @@
 """End-to-end hybrid analysis, sample budget, Vandermonde shortcut."""
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -17,6 +20,7 @@ from sparsespec import (
     IndexBudgetExceeded,
     NoConvergence,
     NotCoprime,
+    NonFiniteSamples,
     NoUniqueIntersection,
     SparseSpecError,
     StreamSpec,
@@ -24,6 +28,7 @@ from sparsespec import (
     ToneSpec,
     analyze,
     circular_distance_hz,
+    core,
     dense_reference,
     extract_streams,
     max_stream_length,
@@ -32,7 +37,7 @@ from sparsespec import (
     synthesize,
 )
 from sparsespec.lab import experiment_1_config, experiment_1_spec
-from sparsespec.pipeline import noise_power_quantile
+from sparsespec.pipeline import noise_power_quantile, plan
 from sparsespec.prony import SVD_DIM_CAP
 
 
@@ -204,25 +209,41 @@ class TestAnalyze:
         assert [f["error"] for f in res.diagnostics["failures"]] \
             == ["IllConditionedPencil"]
 
-    @pytest.mark.parametrize("record", ["stream0", "random_phase"])
-    def test_overflowing_record_fails_per_bin(self, record):
+    @pytest.mark.parametrize("record", ["stream0", "random_phase", "tone"])
+    def test_overflowing_reference_spectrum_raises(self, record):
         # Finite samples of modulus 1e308 overflow in the stream FFT. With
-        # 1e308 on stream 0 only, bin 0 holds inf next to finite values (a
-        # matrix LAPACK's SVD can spin on); random phases give NaN in every
-        # peak bin. Either way each bin fails alone and analyze returns.
+        # 1e308 on stream 0 only, bin 0 of the reference spectrum is
+        # infinite; random phases and a 1.7e308 tone give NaN. No candidate
+        # can be picked from such a spectrum, and analyze used to return no
+        # components with one NoConvergence in its diagnostics.
         if record == "stream0":
             samples = np.ones(1000, dtype=np.complex128)
             samples[::50] = 1e308
-        else:
+        elif record == "random_phase":
             rng = np.random.default_rng(0)
             samples = 1e308 * np.exp(2j * np.pi * rng.random(1000))
+        else:
+            samples = 1.7e308 * np.exp(2j * np.pi * 0.3125 * np.arange(1000))
+        x = ComplexSignal(samples=samples, rate_hz=1000.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
+            analyze(x, experiment_1_config())
+
+    def test_overflowing_shifted_stream_fails_per_bin(self):
+        # 1e308 on stream 1 only: the reference spectrum is finite, and the
+        # peak bin's stream-1 coefficient is inf next to finite values (a
+        # matrix LAPACK's SVD can spin on). The bin fails alone and analyze
+        # returns.
+        cfg = experiment_1_config()
+        samples = np.ones(1000, dtype=np.complex128)
+        samples[cfg.s::cfg.u] = 1e308
         x = ComplexSignal(samples=samples, rate_hz=1000.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = analyze(x, experiment_1_config())
+            res = analyze(x, cfg)
         failures = res.diagnostics["failures"]
         assert res.components == ()
-        assert len(failures) == len(res.diagnostics["peak_bins"]) > 0
-        assert {f["error"] for f in failures} == {"NoConvergence"}
+        assert res.diagnostics["peak_bins"] == [0]
+        assert [f["error"] for f in failures] == ["NoConvergence"]
 
     @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("path", ["full", "shortcut", "fallback"])
@@ -387,6 +408,15 @@ class TestDenseReference:
         assert len(dense.components) == 1
         assert dense.components[0].freq_hz == pytest.approx(7.0)
         assert dense.components[0].amplitude == pytest.approx(1.0 + 0j)
+
+    def test_overflowing_spectrum_raises(self):
+        # A finite record whose transform overflows once gave no components.
+        l = np.arange(1000)
+        x = ComplexSignal(samples=1.7e308 * np.exp(2j * np.pi * 0.3125 * l),
+                          rate_hz=1000.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
+            dense_reference(x, 0.2)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_threshold_rejected(self, threshold):
@@ -839,13 +869,16 @@ class TestWorkArrays:
     def test_threads_match_serial_results(self):
         # Same-size records on the full path and on the shortcut, one
         # thread each, more threads than cores and a short switch interval:
-        # each thread must keep to its own work arrays.
-        length = 2 ** 18
+        # each thread must keep to its own work arrays. The 2^19-sample
+        # record gathers above PARALLEL_MIN_SAMPLES, on a helper thread of
+        # its own.
         full = HybridConfig(u=16, s=5, M=8, resolver="bezout")
         short = replace(full, shortcut_shifted=True)
         records = [
-            _on_grid_record(length, full, [(3001, 1.0), (40007, 0.6j)]),
-            _on_grid_record(length, full, [(777, 0.9), (12000, -0.5)])]
+            _on_grid_record(2 ** 18, full, [(3001, 1.0), (40007, 0.6j)]),
+            _on_grid_record(2 ** 18, full, [(777, 0.9), (12000, -0.5)]),
+            _on_grid_record(2 ** 19, full, [(5003, 0.8j), (90001, 1.0)])]
+        assert full.M * plan(full, 2 ** 19).n >= core.PARALLEL_MIN_SAMPLES
         jobs = [(x, cfg) for x in records for cfg in (full, short)]
         serial = [analyze(x, cfg) for x, cfg in jobs]
         assert all(r.diagnostics["shortcut_fallbacks"] == 0 for r in serial)
@@ -903,6 +936,143 @@ class TestWorkArrays:
         assert len(wrapped.components) == 6
         assert capped.diagnostics["shortcut_fallbacks"] == 3
         assert len(capped.components) == 600
+
+
+def _spans_patches():
+    """``PATCHES`` of perfbench/spans.py: the attributes its tracer wraps."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.PATCHES
+
+
+class TestHelperThread:
+    # Above PARALLEL_MIN_SAMPLES, detect gathers the streams on a helper
+    # thread while the caller transforms stream 0, and dft_at computes half
+    # of its block product on one. Neither may change a bit, outlive the
+    # call or leave its work on the caller's kept arrays.
+    FULL = HybridConfig(u=16, s=5, M=8, resolver="bezout")
+
+    def _at_both_gates(self, monkeypatch, x, cfg):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        outputs = []
+        for gate in (0, math.inf):
+            monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", gate)
+            outputs.append(_outputs(analyze(x, cfg)))
+        return outputs
+
+    def test_full_record_identical_split_and_inline(self, monkeypatch):
+        x = _on_grid_record(2 ** 20, self.FULL,
+                            [(4099, 1.0), (30011, 0.7j), (61001, -0.9)])
+        split, inline = self._at_both_gates(monkeypatch, x, self.FULL)
+        assert split == inline
+        assert "source_bin=4099" in split
+
+    def test_wrap_plan_identical_split_and_inline(self, monkeypatch):
+        # 8 streams of 2^15 samples run four times round a 2^17 record,
+        # each over the same 2^13 samples.
+        cfg = replace(self.FULL, stream_len=2 ** 15, wrap=True)
+        assert cfg.M * cfg.stream_len >= core.PARALLEL_MIN_SAMPLES
+        x = tone_signal([(1250.0, 1.0), (3906.25, 0.5j)], 10000.0, 2 ** 17)
+        split, inline = self._at_both_gates(monkeypatch, x, cfg)
+        assert split == inline
+        assert "'samples_used': 65536" in split
+
+    def test_shortcut_fallback_identical_split_and_inline(self, monkeypatch):
+        # The fallback gathers inline after the FFT; dft_at still splits.
+        def no_convergence(a):
+            raise NoConvergence("forced")
+
+        monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        cfg = replace(self.FULL, shortcut_shifted=True)
+        x = _on_grid_record(2 ** 19, cfg, [(2003, 1.0), (70001, 0.6j)])
+        assert (cfg.M - 1) * plan(cfg, len(x)).n >= core.PARALLEL_MIN_SAMPLES
+        split, inline = self._at_both_gates(monkeypatch, x, cfg)
+        assert split == inline
+        assert "'shortcut_fallbacks': 7" in split
+
+    def test_failures_join_the_helper(self, monkeypatch):
+        # The helper raising, and the caller raising while a slowed helper
+        # has yet to write the read mask: analyze raises that error, no
+        # thread is left, and the thread's next call, on a record of the
+        # same size and so the same mask, gives the same bits as before.
+        x = _on_grid_record(2 ** 19, self.FULL, [(5003, 1.0), (90001, 0.6j)])
+        big = ComplexSignal(samples=1.7e308 * np.exp(
+            2j * np.pi * 0.3125 * np.arange(2 ** 19)), rate_hz=10000.0)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        run_aside = pipeline.run_aside
+
+        def failing(fn, samples):
+            def gather_then_fail():
+                fn()
+                raise MemoryError("forced")
+            return run_aside(gather_then_fail, samples)
+
+        def slow(fn, samples):
+            def wait_then_gather():
+                time.sleep(0.2)
+                fn()
+            return run_aside(wait_then_gather, samples)
+
+        def run():
+            baseline = threading.active_count()
+            expected = _outputs(analyze(x, self.FULL))
+            assert threading.active_count() == baseline
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "run_aside", failing)
+                with pytest.raises(MemoryError, match="forced"):
+                    analyze(x, self.FULL)
+            assert threading.active_count() == baseline
+            assert _outputs(analyze(x, self.FULL)) == expected
+            with monkeypatch.context() as m, \
+                    np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteSamples):
+                m.setattr(pipeline, "run_aside", slow)
+                analyze(big, self.FULL)
+            assert threading.active_count() == baseline
+            assert _outputs(analyze(x, self.FULL)) == expected
+            assert threading.active_count() == baseline
+
+        _in_new_thread(run)
+
+    @pytest.mark.parametrize("cfg", [
+        FULL, replace(FULL, shortcut_shifted=True),
+        replace(FULL, stream_len=300, wrap=True)],
+        ids=["full", "fallback", "wrap"])
+    def test_traced_attributes_run_on_the_calling_thread(self, monkeypatch,
+                                                         cfg):
+        # perfbench's tracer keeps one span stack for the process: every
+        # function it wraps must run on analyze's own thread, even with
+        # every helper split off (a gate of 0). The shortcut falls back.
+        monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        calls = []
+        for module_name, attr, _, _ in _spans_patches():
+            module = importlib.import_module(module_name)
+            original = getattr(module, attr)
+
+            def recorded(*args, _fn=original, _name=attr, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, recorded)
+
+        def no_convergence(a):
+            calls.append(("svd_small", threading.get_ident()))
+            raise NoConvergence("forced")
+
+        if cfg.shortcut_shifted:
+            monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        fine = cfg.u * plan(cfg, 4800).n
+        x = tone_signal([(k * 10000.0 / fine, a) for k, a in
+                         ((41, 1.0), (300, 0.5j))], 10000.0, 4800)
+        res = pipeline.analyze(x, cfg)
+        assert len(res.components) == 2
+        assert {"analyze", "select_peaks", "estimate_order"} <= {
+            name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 class TestRobustness:
@@ -1011,6 +1181,29 @@ for n in (65537, 90000, 1000003):
 """
 
 
+# Run in a fresh interpreter, on every CPU or pinned to one: analyze the
+# first long_full record of seed 1 and print its components bit for bit.
+# Pinned, analyze keeps its work on the calling thread unless told that it
+# has two CPUs ("split").
+_PINNED_SCRIPT = """
+import os, sys
+sys.path.insert(0, sys.argv[2])
+import workloads
+from sparsespec import analyze, core, synthesize
+
+if sys.argv[1] != "free":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[1] == "split":
+    core._usable_cpus = lambda: 2
+print(len(os.sched_getaffinity(0)) == 1)
+res = analyze(synthesize(workloads.specs("long_full", 1, 1)[0]),
+              workloads.config("long_full"))
+for c in res.components:
+    print(c.freq_hz.hex(), c.amplitude.real.hex(),
+          c.amplitude.imag.hex(), c.residual.hex())
+"""
+
+
 def _outputs_at_one_and_two_blas_threads(script):
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     outputs = []
@@ -1045,6 +1238,27 @@ class TestThreadIndependence:
                  if not ln.startswith("0x")]
         assert [(h[:2], len(h)) for h in heads] == [(["0", "3"], 3)] * 2
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_long_full_identical_on_one_cpu(self):
+        # On one CPU analyze runs inline, or with its helper threads taking
+        # turns with the caller when made to split; on all of them, split.
+        # The bits must not depend on which, nor on how threads interleave.
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        bench = os.path.join(os.path.dirname(src), "perfbench")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        outputs = []
+        for mode in ("pinned", "split", "free"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PINNED_SCRIPT, mode, bench],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines())
+        pinned, split, free = outputs
+        assert pinned[0] == split[0] == "True" and len(pinned) == 5
+        assert pinned[1:] == split[1:] == free[1:]
 
     def test_peak_bin_dft_identical_at_one_and_two_blas_threads(self):
         outputs = _outputs_at_one_and_two_blas_threads(_DFT_THREAD_SCRIPT)
