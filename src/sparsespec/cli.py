@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import dft, synthesize
+from .core import dft, spectrum_magnitudes, synthesize
 from .errors import (
     IllConditionedPencil,
     IllConditionedVandermonde,
@@ -163,7 +163,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_dft(args) -> int:
     x = _read_signal(args.infile, args.rate, args.format)
     if args.threshold is None:
-        write_spectrum_csv(args.out, dft(x), x.rate_hz / len(x))
+        spectrum = dft(x)
+        spectrum_magnitudes(spectrum)  # raises on an overflowed spectrum
+        write_spectrum_csv(args.out, spectrum, x.rate_hz / len(x))
         print(f"bins={len(x)} resolution_hz={x.rate_hz / len(x):.6g}")
     else:
         result = dense_reference(x, args.threshold)

@@ -322,6 +322,18 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> np.ndarray:
     return np.array(stream_view(x.samples, spec))
 
 
+def spectrum_magnitudes(bins: np.ndarray) -> tuple[np.ndarray, float]:
+    """|X_j| of the DFT values ``bins`` and the largest of them. A NaN or
+    infinite |X_j|, which finite samples reach when the transform
+    overflows, raises NonFiniteSamples."""
+    mags = np.abs(bins)
+    top = mags.max()
+    if not math.isfinite(top):
+        raise NonFiniteSamples(
+            f"the spectrum overflowed: its largest |X| is {top}")
+    return mags, top
+
+
 def select_peaks(bins: np.ndarray, threshold: float) -> list[int]:
     """The indices j of all DFT values ``bins`` with |X_j| >= threshold and
     |X_j| > 0, strongest first.
@@ -329,16 +341,11 @@ def select_peaks(bins: np.ndarray, threshold: float) -> list[int]:
     Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
     whatever the threshold: they are that peak's rounding leakage. Ties in
     magnitude are ordered by ascending bin index so the output is
-    deterministic. A NaN or infinite |X_j|, which finite samples reach when
-    the transform overflows, raises NonFiniteSamples.
+    deterministic. Raises NonFiniteSamples as :func:`spectrum_magnitudes`.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    mags = np.abs(bins)
-    top = mags.max()
-    if not math.isfinite(top):
-        raise NonFiniteSamples(
-            f"the spectrum overflowed: its largest |X| is {top}")
+    mags, top = spectrum_magnitudes(bins)
     floor = max(threshold, PEAK_FLOOR_REL * top)
     hits = np.flatnonzero((mags >= floor) & (mags > 0))
     return hits[np.argsort(-mags[hits], kind="stable")].tolist()

@@ -30,7 +30,7 @@ class NoConvergence(SparseSpecError):
 
 
 class IllConditionedPencil(SparseSpecError):
-    """Reduced pencil matrix numerically singular."""
+    """Matrix pencil numerically singular, or without a usable root."""
 
 
 class IllConditionedVandermonde(SparseSpecError):

@@ -400,7 +400,7 @@ def fit(coeffs: np.ndarray, bins: list[int], noise: float, M: int
             if est.rank == 0:
                 continue
             zs, amps = pencil_decompose(
-                p, min(max(1, (M - 1) // 2), est.rank))
+                p, min(max(1, (M - 1) // 2), est.rank), est.vectors)
             report["residual"] = model_residual(p, zs, amps)
             kept += [(z, amp) for z, amp in zip(zs.tolist(), amps.tolist())
                      if abs(abs(z) - 1.0) <= DEFAULT_UNIT_TOL]
@@ -416,32 +416,31 @@ def resolve(reports: list[dict], terms: list[list[tuple[complex, complex]]],
     ``bez`` is given), merged within half a fine bin and strongest first.
 
     A term that cannot be paired records its error on the bin's report and
-    ends the bin; its earlier terms' components stay, counted in ``kept``.
+    is skipped: each term pairs from its own root, so the bin's other
+    terms still pair, and ``kept`` counts those that did.
     """
     n = spec.n
     components: list[RecoveredComponent] = []
     for report, kept in zip(reports, terms):
         b = report["bin"]
         a_u = angle_cycles(complex(np.exp(2j * np.pi * b / n)))
-        try:
-            for z, amp in kept:
-                a_s = angle_cycles(z)
+        for z, amp in kept:
+            a_s = angle_cycles(z)
+            try:
                 if bez is not None:
                     freq, _ = resolve_bezout(a_u, a_s, bez, rate_hz)
                     dist = 0.0
                 else:
                     freq, dist = resolve_match(a_u, spec.u, a_s, spec.s,
                                                rate_hz)
-                components.append(RecoveredComponent(
-                    freq_hz=float(freq),
-                    amplitude=amp / n,
-                    source_bin=int(b),
-                    collision_order=len(kept),
-                    match_distance_hz=float(dist),
-                    residual=report["residual"]))
-                report["kept"] += 1
-        except NoUniqueIntersection as exc:
-            report.update(error=type(exc).__name__, detail=str(exc))
+            except NoUniqueIntersection as exc:
+                report.update(error=type(exc).__name__, detail=str(exc))
+                continue
+            components.append(RecoveredComponent(
+                freq_hz=float(freq), amplitude=amp / n, source_bin=int(b),
+                collision_order=len(kept), match_distance_hz=float(dist),
+                residual=report["residual"]))
+            report["kept"] += 1
     fine_res = rate_hz / (spec.u * n)
     components = _merge_components(components, fine_res / 2.0, rate_hz)
     components.sort(key=lambda c: (-abs(c.amplitude), c.freq_hz))

@@ -2,14 +2,14 @@
 
 A peak bin observed across M shifted streams yields the 1-d array
 p[m] = sum_i a_i * z_i^m, M >= 2 values with one term per colliding
-component. The matrix pencil on a Hankel arrangement of p recovers the
-per-step ratios z_i and the amplitudes a_i as two arrays; the Hankel
-singular values count the components. Two values make a 1 x 2 Hankel and
-an order-1 pencil, whose ratio is p[1] / p[0].
+component. One SVD of a Hankel arrangement of p serves the bin: its
+singular values count the components, and the matrix pencil on its
+leading right singular vectors recovers the per-step ratios z_i, then
+the amplitudes a_i, as two arrays. Two values make a 1 x 2 Hankel and an
+order-1 pencil, whose ratio is p[1] / p[0].
 
-Every SVD is one guarded LAPACK call, ``svd_small`` or, where only the
-singular values are read, ``singular_values``: both refuse non-finite
-matrices and report any failure as ``NoConvergence``, which ``analyze``
+That SVD is ``svd_small``, a guarded LAPACK call: it refuses non-finite
+matrices and reports any failure as ``NoConvergence``, which ``analyze``
 records as a per-bin failure.
 """
 from __future__ import annotations
@@ -26,17 +26,17 @@ RANK_FLOOR_REL = 1e-8
 PENCIL_CONDITION_CAP = 1e12
 SVD_DIM_CAP = 512
 
-_SIGMA_FLOOR_REL = 1e-14
 _Z_SANITY_CAP = 1e6
 
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Model-order reading off the Hankel singular values."""
+    """Model order read off the Hankel's singular values and right vectors."""
 
     rank: int
     singular_values: np.ndarray
     gap_ratio: float
+    vectors: np.ndarray
 
 
 def hankel(p: np.ndarray, rows: int) -> np.ndarray:
@@ -65,18 +65,6 @@ def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             singular values for one or never return), or LAPACK did not
             converge.
     """
-    u, sigma, vh = _guarded_svd(a, compute_uv=True)
-    return u, sigma, vh.conj().T
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of ``a``, descending, with :func:`svd_small`'s
-    checks and errors. LAPACK computes no singular vectors, by another
-    algorithm, so the last bits can differ from ``svd_small``'s sigma."""
-    return _guarded_svd(a, compute_uv=False)
-
-
-def _guarded_svd(a: np.ndarray, compute_uv: bool):
     A = np.asarray(a, dtype=np.complex128)
     if A.ndim != 2 or min(A.shape) < 1:
         raise BadShape("SVD expects a non-empty 2-d matrix")
@@ -85,9 +73,10 @@ def _guarded_svd(a: np.ndarray, compute_uv: bool):
     if not np.isfinite(A).all():
         raise NoConvergence("SVD of a matrix with non-finite entries")
     try:
-        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
+        u, sigma, vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK SVD failed: {exc}") from exc
+    return u, sigma, vh.conj().T
 
 
 def estimate_noise(spectrum: np.ndarray) -> float:
@@ -109,65 +98,67 @@ def estimate_order(p: np.ndarray, noise_sigma: float) -> OrderEstimate:
     data). ``noise_sigma`` is one value's noise deviation, as from
     :func:`estimate_noise`. The ratio across the cut is reported so callers
     can judge how clear the detection was. Two values give a 1 x 2 Hankel,
-    whose one singular value is the 2-norm of p. Raises BadShape as
+    whose one singular value is the 2-norm of p. This is the bin's one SVD:
+    its right singular vectors come back as ``vectors``. Raises BadShape as
     :func:`hankel` does and NoConvergence as :func:`svd_small` does.
     """
     m = np.size(p)
     rows = (m + 1) // 2
-    sigma = singular_values(hankel(p, rows))
-    if sigma[0] <= 0.0:
-        return OrderEstimate(rank=0, singular_values=sigma, gap_ratio=math.inf)
+    _, sigma, vectors = svd_small(hankel(p, rows))
     edge = NOISE_EDGE_FACTOR * noise_sigma * (
         math.sqrt(rows) + math.sqrt(m - rows + 1))
-    rank = int(np.count_nonzero(sigma >= max(edge, RANK_FLOOR_REL * sigma[0])))
-    if rank < sigma.size and sigma[rank] > 0.0:
-        gap = float(sigma[rank - 1] / sigma[rank]) if rank > 0 else math.inf
-    else:
-        gap = math.inf
-    return OrderEstimate(rank=rank, singular_values=sigma, gap_ratio=gap)
+    cut = max(edge, RANK_FLOOR_REL * sigma[0])
+    rank = int(np.count_nonzero((sigma >= cut) & (sigma > 0.0)))
+    gap = math.inf
+    if 0 < rank < sigma.size and sigma[rank] > 0.0:
+        gap = float(sigma[rank - 1] / sigma[rank])
+    return OrderEstimate(rank=rank, singular_values=sigma, gap_ratio=gap,
+                         vectors=vectors)
 
 
-def pencil_decompose(p: np.ndarray,
-                     fit_order: int) -> tuple[np.ndarray, np.ndarray]:
+def pencil_decompose(p: np.ndarray, fit_order: int,
+                     vectors: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Matrix-pencil decomposition of p into ``fit_order`` exponential terms.
 
-    Two shifted Hankel blocks H0 and H1 are projected onto the leading
-    ``fit_order`` singular directions of H0; the eigenvalues of the reduced
-    pencil are the per-step ratios z_i, and a least-squares Vandermonde fit
-    against the full sequence recovers the amplitudes. Returns the arrays
-    (zs, amps), sorted by descending |amplitude|. ``fit_order`` runs from 1
-    to max(1, (M - 1) // 2): two values fit one term. Fitting more terms
-    than the sequence truly has is supported; the surplus terms carry
-    negligible amplitude or fall off the unit circle.
+    The SVD form of the pencil (Hua & Sarkar, "Matrix pencil method for
+    estimating parameters of exponentially damped/undamped sinusoids in
+    noise", IEEE Trans. ASSP, 1990). The leading right singular vectors of
+    the Hankel of p, as the rows of V with first and last c - 1 columns V1
+    and V2, obey V2 = Phi V1, and the eigenvalues of Phi are the ratios z_i.
+    V's rows are orthonormal, so with l its last column, by Sherman-Morrison
+    Phi = V2 V1^H (V1 V1^H)^-1 = V2 V1^H (I + l l^H / (1 - |l|^2)). ``vectors``
+    are those of :func:`estimate_order`; without them the SVD is taken
+    here. A least-squares Vandermonde fit against p gives the amplitudes.
+    Returns (zs, amps), by descending |amplitude|. ``fit_order`` runs from
+    1 to max(1, (M - 1) // 2): two values fit one term, p[1] / p[0]. An
+    overfit's surplus terms carry negligible amplitude or leave the circle.
 
     Raises:
         BadShape: as :func:`hankel`.
         ValueError: ``fit_order`` out of range.
-        NoConvergence: an SVD failed (see :func:`svd_small`).
-        IllConditionedPencil: reduced pencil numerically singular (condition
-            beyond 1e12) or the sequence is identically zero.
+        NoConvergence: the SVD failed (see :func:`svd_small`).
+        IllConditionedPencil: V1 V1^H numerically singular (condition
+            1 / (1 - |l|^2) beyond 1e12) or p identically zero.
     """
     m = np.size(p)
-    full = hankel(p, (m + 1) // 2)
     top = max(1, (m - 1) // 2)
     if not 1 <= fit_order <= top:
         raise ValueError(f"fit_order={fit_order} outside 1..{top} for M={m}")
-    h0 = full[:, :-1]
-    h1 = full[:, 1:]
-    u, sigma, v = svd_small(h0)
-    if sigma[0] <= 0.0:
+    if vectors is None:
+        _, _, vectors = svd_small(hankel(p, (m + 1) // 2))
+    if not np.any(p):
         raise IllConditionedPencil("cannot decompose an all-zero sequence")
-    uq = u[:, :fit_order]
-    vq = v[:, :fit_order]
-    # Floored inverse keeps the reduced matrix finite when fit_order exceeds
-    # the true rank (exact-data case: trailing sigma at roundoff level).
-    inv = 1.0 / np.maximum(sigma[:fit_order], _SIGMA_FLOOR_REL * sigma[0])
-    reduced = inv[:, None] * (uq.conj().T @ h1 @ vq)
-    rs = singular_values(reduced)
-    if rs[-1] <= 0.0 or rs[0] / rs[-1] > PENCIL_CONDITION_CAP:
+    # w = V^H: its last row is l conjugated.
+    w = vectors[:, :fit_order]
+    tail = w[-1]
+    slack = 1.0 - float(np.vdot(tail, tail).real)
+    if not slack * PENCIL_CONDITION_CAP >= 1.0:
         raise IllConditionedPencil(
-            f"reduced pencil condition beyond {PENCIL_CONDITION_CAP:.0e}")
-    zs = np.linalg.eigvals(reduced)
+            f"pencil condition beyond {PENCIL_CONDITION_CAP:.0e}")
+    psi = w[1:].conj().T @ w[:-1]
+    psi += np.outer(psi @ tail.conj(), tail) / slack
+    zs = np.linalg.eigvals(psi)
     # Ratios this far off the circle cannot be fit against the data without
     # overflowing the Vandermonde powers; they are numerical debris.
     keep = (np.abs(zs) < _Z_SANITY_CAP) & (np.abs(zs) > 1.0 / _Z_SANITY_CAP)

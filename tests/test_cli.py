@@ -393,6 +393,18 @@ class TestDft:
         assert code == 2
         assert "spectrum overflowed" in capsys.readouterr().err
 
+    def test_overflowing_full_spectrum_exit_two(self, tmp_path, capsys):
+        # Without --threshold the spectrum once went out as 1,000 nan rows
+        # with exit 0.
+        sig = write_overflowing_tone(tmp_path)
+        out = tmp_path / "spec.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["dft", "--in", str(sig), "--rate", "1000",
+                             "--out", str(out)])
+        assert code == 2
+        assert "spectrum overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_exit_two(self, tmp_path, capsys, value):
         # Both once printed components=0 and exited 0.

@@ -198,6 +198,35 @@ class TestAnalyze:
         assert (report["rank"], report["kept"], report["error"]) \
             == (2, 1, "NoUniqueIntersection")
 
+    def test_unpaired_first_term_keeps_later_terms(self, monkeypatch):
+        # Each term pairs from its own root: when the first of two terms
+        # cannot be paired, the second still becomes a component. The bin
+        # is listed in failures and its report counts the one kept term.
+        x = tone_signal([(25.0, 1.0), (85.0, 0.5j)], 100.0, 200)
+        cfg = HybridConfig(u=5, s=2, M=9, threshold=0.2, stream_len=20)
+        real = pipeline.resolve_match
+        calls = []
+
+        def first_fails(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoUniqueIntersection("two candidates")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "resolve_match", first_fails)
+        res = analyze(x, cfg)
+        (b,) = res.diagnostics["peak_bins"]
+        assert len(calls) == 2
+        assert [(c.source_bin, c.collision_order) for c in res.components] \
+            == [(b, 2)]
+        assert res.components[0].freq_hz == pytest.approx(
+            real(*calls[1])[0])
+        assert [(f["bin"], f["error"]) for f in res.diagnostics["failures"]] \
+            == [(b, "NoUniqueIntersection")]
+        (report,) = res.diagnostics["bin_reports"]
+        assert (report["rank"], report["kept"], report["error"]) \
+            == (2, 1, "NoUniqueIntersection")
+
     def test_two_stream_zero_ratio_is_a_bin_failure(self):
         # Every fifth sample set: stream 1 (offset s=2) reads only zeros,
         # so P(1)/P(0) is 0 and no ratio term can be formed.
@@ -645,6 +674,27 @@ class TestDiagnostics:
             assert report["rank"] == sum(v >= cut for v in sigma)
         ranks = {r["bin"]: r["rank"] for r in d["bin_reports"]}
         assert ranks[4] == 3
+
+    @pytest.mark.parametrize("signal", [0, 1, 2])
+    def test_one_svd_per_confirmed_bin(self, monkeypatch, signal):
+        # The order estimate's Hankel SVD also gives the pencil its
+        # vectors: a collision bin of order 1, 2 or 3 takes one LAPACK SVD,
+        # of its 6 x 7 Hankel (M = 12).
+        real = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+
+        x = synthesize(experiment_1_spec(signal, seed=3))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        res = analyze(x, experiment_1_config())
+        d = res.diagnostics
+        assert [r["rank"] for r in d["bin_reports"]] == [signal + 1]
+        assert d["failures"] == []
+        assert len(d["peak_bins"]) == 1
+        assert calls == [(6, 7)]
 
     def test_two_stream_reports_one_singular_value(self):
         # Two streams count the order on a 1 x 2 Hankel, whose one singular
