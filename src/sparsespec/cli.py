@@ -2,8 +2,7 @@
 reproduction, and the oracle-equivalence selftest.
 
 Exit codes: 0 success, 1 usage error, 2 data or config error (non-finite
-samples included), 3 numerical failure that aborted the command, or failed
-selftest trials.
+samples or an overflowed spectrum included), 3 failed selftest trials.
 """
 from __future__ import annotations
 
@@ -13,13 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .core import dft, spectrum_magnitudes, synthesize
-from .errors import (
-    IllConditionedPencil,
-    IllConditionedVandermonde,
-    NoConvergence,
-    NoUniqueIntersection,
-    SparseSpecError,
-)
+from .errors import SparseSpecError
 from .fileio import (
     REQUIRED_CONFIG_KEYS,
     FileFormatError,
@@ -38,9 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (NoConvergence, IllConditionedPencil,
-                     IllConditionedVandermonde, NoUniqueIntersection)
 
 
 class _UsageError(Exception):
@@ -229,9 +219,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"sparsespec: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (SparseSpecError, ValueError, OSError) as exc:
         print(f"sparsespec: error: {exc}", file=sys.stderr)
         return EXIT_DATA

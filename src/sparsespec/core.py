@@ -100,6 +100,8 @@ class StreamSpec:
     ``n=None`` means "as long as the source signal allows", resolved when the
     streams are extracted. ``wrap=True`` indexes the source periodically, which
     is only meaningful for signals that are genuinely periodic on their grid.
+    ``HybridConfig`` checks its geometry by building one, with its
+    ``stream_len`` as ``n``.
     """
 
     u: int
@@ -109,12 +111,14 @@ class StreamSpec:
     wrap: bool = False
 
     def __post_init__(self):
-        if self.u < 1 or self.s < 1 or self.M < 1:
-            raise ValueError("u, s and M must be positive integers")
+        if self.u < 1 or self.s < 1:
+            raise ValueError("u and s must be positive integers")
         if math.gcd(self.u, self.s) != 1:
-            raise NotCoprime(f"u={self.u} and s={self.s} must be coprime")
+            raise NotCoprime(f"u={self.u} and s={self.s} share a factor")
+        if self.M < 1:
+            raise ValueError("M must be a positive integer")
         if self.n is not None and self.n < 1:
-            raise ValueError("n must be positive when given")
+            raise ValueError("stream_len must be positive when given")
 
     def resolve_length(self, source_length: int) -> int:
         """Concrete per-stream length against a source of ``source_length``."""
@@ -169,8 +173,11 @@ def max_stream_length(source_length: int, u: int, s: int, M: int) -> int:
 
 def dft(x: ComplexSignal) -> np.ndarray:
     """Discrete Fourier transform, bins[j] = sum_l x_l exp(-2*pi*i*l*j/N).
-    Bin j sits at j * x.rate_hz / N Hz."""
-    return np.fft.fft(x.samples)
+    Bin j sits at j * x.rate_hz / N Hz. Finite samples can overflow it
+    without a numpy warning: callers check with :func:`spectrum_magnitudes`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft(x.samples)
 
 
 def idft(bins: np.ndarray, rate_hz: float) -> ComplexSignal:
@@ -341,11 +348,14 @@ def select_peaks(bins: np.ndarray, threshold: float) -> list[int]:
     Bins under ``PEAK_FLOOR_REL`` of the largest |X_j| are left out
     whatever the threshold: they are that peak's rounding leakage. Ties in
     magnitude are ordered by ascending bin index so the output is
-    deterministic. Raises NonFiniteSamples as :func:`spectrum_magnitudes`.
+    deterministic. Raises NonFiniteSamples as :func:`spectrum_magnitudes`,
+    then ValueError for a negative or NaN threshold.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
     mags, top = spectrum_magnitudes(bins)
+    # After the spectrum: a threshold read off an overflowed spectrum is
+    # not finite, and the overflow is the error to report.
+    if not threshold >= 0:
+        raise ValueError("threshold must be >= 0")
     floor = max(threshold, PEAK_FLOOR_REL * top)
     hits = np.flatnonzero((mags >= floor) & (mags > 0))
     return hits[np.argsort(-mags[hits], kind="stable")].tolist()

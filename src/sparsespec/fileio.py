@@ -293,16 +293,14 @@ def _field_entries(obj, schema) -> list[tuple[str, object]]:
 
 def read_config(path: str | Path) -> HybridConfig:
     """Parse a flat ``key = value`` config whose keys, value types and
-    required keys are those of the HybridConfig fields, and validate it. An
-    optional field takes the value ``none``. A value ``validate`` rejects
-    raises FileFormatError, except NotCoprime, which is raised as it is."""
-    cfg = HybridConfig(**_read_fields(path, _parse_kv_lines(path),
-                                      _CONFIG_SCHEMA))
+    required keys are those of the HybridConfig fields. An optional field
+    takes the value ``none``. A value HybridConfig rejects raises
+    FileFormatError, except NotCoprime, which is raised as it is."""
+    values = _read_fields(path, _parse_kv_lines(path), _CONFIG_SCHEMA)
     try:
-        cfg.validate()
+        return HybridConfig(**values)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    return cfg
 
 
 def write_config(path: str | Path, cfg: HybridConfig) -> None:

@@ -11,7 +11,7 @@ except the full stream spectra of experiment 1's panels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -308,23 +308,19 @@ def _selftest_trial(rng: np.random.Generator) -> dict | None:
     dense = dense_reference(x, 0.25)
 
     setting = {"u": u, "s": s, "n": n, "indices": idx}
-    if len(hybrid.components) != len(dense.components):
-        return {**setting, "reason": "support size",
-                "hybrid": len(hybrid.components),
-                "dense": len(dense.components)}
-    # Frequencies live on a circle; pair each dense component with the
-    # circularly nearest unused hybrid component.
-    remaining = list(hybrid.components)
-    for dc in sorted(dense.components, key=lambda c: c.freq_hz):
-        hc = min(remaining, key=lambda c: circular_distance_hz(
-            c.freq_hz, dc.freq_hz, rate))
-        remaining.remove(hc)
-        if circular_distance_hz(hc.freq_hz, dc.freq_hz, rate) > 1e-6:
-            return {**setting, "reason": "frequency",
-                    "hybrid": hc.freq_hz, "dense": dc.freq_hz}
-        if abs(hc.amplitude - dc.amplitude) > 1e-6:
+    # The dense components are the truth the hybrid ones must match.
+    oracle = replace(spec, tones=tuple(
+        ToneSpec(mu_hz=c.freq_hz, amplitude=c.amplitude)
+        for c in dense.components))
+    report = evaluate(oracle, hybrid, tol_hz=1e-6)
+    if report.missed or report.spurious:
+        return {**setting, "reason": "support",
+                "missed": [t.mu_hz for t in report.missed],
+                "spurious": [c.freq_hz for c in report.spurious]}
+    for tone, comp, _, amp_err in report.matched:
+        if amp_err > 1e-6:
             return {**setting, "reason": "amplitude",
-                    "hybrid": hc.amplitude, "dense": dc.amplitude}
+                    "hybrid": comp.amplitude, "dense": tone.amplitude}
     return None
 
 

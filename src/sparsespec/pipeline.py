@@ -46,7 +46,6 @@ from .errors import (
     IllConditionedPencil,
     IllConditionedVandermonde,
     NoConvergence,
-    NotCoprime,
     NoUniqueIntersection,
 )
 from .prony import (
@@ -81,6 +80,10 @@ class HybridConfig:
     survives when its per-sample amplitude reaches it. ``stream_len`` pins
     the per-stream length; None takes the longest the signal supports.
 
+    A config validates itself when built, by ``dataclasses.replace`` too:
+    M >= 2, a finite non-negative ``threshold`` and a known ``resolver``
+    here, the geometry by building the ``StreamSpec`` it describes.
+
     The remaining tolerances are fixed. How many peaks are pursued follows
     from the noise deviation sigma that ``estimate_noise`` reads off the
     reference spectrum, in two stages. A reference bin is a candidate when
@@ -109,19 +112,14 @@ class HybridConfig:
     shortcut_shifted: bool = False
     stream_len: int | None = None
 
-    def validate(self) -> None:
-        if self.u < 1 or self.s < 1:
-            raise ValueError("u and s must be positive integers")
-        if math.gcd(self.u, self.s) != 1:
-            raise NotCoprime(f"u={self.u} and s={self.s} share a factor")
+    def __post_init__(self):
         if self.M < 2:
             raise ValueError("at least 2 streams are required")
         if not 0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
         if self.resolver not in RESOLVERS:
             raise ValueError(f"resolver must be one of {RESOLVERS}")
-        if self.stream_len is not None and self.stream_len < 1:
-            raise ValueError("stream_len must be positive when given")
+        StreamSpec(u=self.u, s=self.s, M=self.M, n=self.stream_len)
 
 
 @dataclass(frozen=True)
@@ -269,9 +267,8 @@ def _work_array(name: str, size: int, dtype) -> np.ndarray:
 
 def plan(cfg: HybridConfig, length: int) -> StreamSpec:
     """The config's stream plan with its per-stream length pinned against
-    a record of ``length`` samples; reads no samples. Raises ValueError,
-    NotCoprime or IndexBudgetExceeded for a plan ``analyze`` rejects."""
-    cfg.validate()
+    a record of ``length`` samples; reads no samples. Raises
+    IndexBudgetExceeded for a record ``analyze`` rejects."""
     spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len,
                       wrap=cfg.wrap)
     return replace(spec, n=spec.resolve_length(length))
@@ -329,7 +326,9 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
         # Copied from the gathered rows while they are in cache, unless a
         # helper is still writing them.
         reference[:] = streams[0] if join or rows is None else rows[0]
-        np.fft.fft(reference, out=reference)
+        # An overflow is reported once, by select_peaks, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.fft.fft(reference, out=reference)
         noise = estimate_noise(reference)
         floor = noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))
         candidates = select_peaks(reference, max(cfg.threshold * n, floor))

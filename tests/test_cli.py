@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import typing
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -404,6 +405,23 @@ class TestDft:
         assert code == 2
         assert "spectrum overflowed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["dft"], ["dft", "--threshold", "0.2"], ["analyze"] + ANALYZE_FLAGS])
+    def test_overflow_prints_only_the_error(self, tmp_path, capsys,
+                                            command):
+        # Two numpy RuntimeWarnings, source lines included, once came
+        # before the error line.
+        sig = write_overflowing_tone(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(command + ["--in", str(sig), "--rate", "1000",
+                                       "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsespec: error: the spectrum overflowed: its largest |X| "
+            "is nan"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_exit_two(self, tmp_path, capsys, value):

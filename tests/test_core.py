@@ -327,6 +327,16 @@ class TestSelectPeaks:
         with pytest.raises(ValueError):
             select_peaks(dft(make_signal([1, 1])), -1.0)
 
+    def test_nan_threshold_rejected(self):
+        # A NaN threshold once passed the sign check and picked no peaks.
+        with pytest.raises(ValueError, match="threshold"):
+            select_peaks(dft(make_signal([1, 1])), math.nan)
+        # An overflowed spectrum is the error to report, whatever the
+        # threshold read off it.
+        bins = np.array([1.0, math.nan, 2.0], dtype=np.complex128)
+        with pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
+            select_peaks(bins, math.nan)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_spectrum_raises(self, bad):
         # What finite samples leave when their transform overflows.

@@ -1,5 +1,6 @@
 """Synthesis, noise calibration, evaluation, experiment runners."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sparsespec import (
     SynthSpec,
     ToneSpec,
+    analyze,
     dense_reference,
     evaluate,
     experiment_1_config,
@@ -16,6 +18,7 @@ from sparsespec import (
     run_selftest,
     synthesize,
 )
+from sparsespec import lab
 
 
 class TestSynthesize:
@@ -124,6 +127,21 @@ class TestSelftest:
         assert out["trials"] == 200
         assert out["failures"] == []
         assert out["passed"] == 200
+
+    def test_moved_frequency_is_a_failure(self, monkeypatch):
+        # Every trial's strongest hybrid component moved by 1e-3 Hz, far
+        # past the 1e-6 Hz agreement the oracle asks for.
+        def shifted(x, cfg):
+            result = analyze(x, cfg)
+            first, *rest = result.components
+            moved = replace(first, freq_hz=first.freq_hz + 1e-3)
+            return replace(result, components=(moved, *rest))
+
+        monkeypatch.setattr(lab, "analyze", shifted)
+        out = run_selftest(trials=5, seed=0)
+        assert out["passed"] == 0
+        assert len(out["failures"]) == 5
+        assert all(f["reason"] == "support" for f in out["failures"])
 
 
 class TestExperimentRunners:

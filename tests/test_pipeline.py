@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -52,7 +53,7 @@ def tone_signal(freqs_amps, rate, length):
 class TestHybridConfig:
     def test_non_coprime_rejected(self):
         with pytest.raises(NotCoprime):
-            HybridConfig(u=4, s=2, M=8).validate()
+            HybridConfig(u=4, s=2, M=8)
 
     @pytest.mark.parametrize("kwargs", [
         dict(u=0, s=1, M=4),
@@ -62,7 +63,35 @@ class TestHybridConfig:
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            HybridConfig(**kwargs).validate()
+            HybridConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("u", 0, ValueError, "u and s must be positive integers"),
+        ("s", -1, ValueError, "u and s must be positive integers"),
+        ("u", 4, NotCoprime, "u=4 and s=2 share a factor"),
+        ("M", 1, ValueError, "at least 2 streams are required"),
+        ("M", 0, ValueError, "at least 2 streams are required"),
+        ("threshold", -1.0, ValueError,
+         "threshold must be finite and nonnegative"),
+        ("threshold", math.nan, ValueError,
+         "threshold must be finite and nonnegative"),
+        ("threshold", math.inf, ValueError,
+         "threshold must be finite and nonnegative"),
+        ("resolver", "guess", ValueError,
+         "resolver must be one of ('match', 'bezout')"),
+        ("stream_len", 0, ValueError,
+         "stream_len must be positive when given"),
+    ])
+    def test_invalid_field_raises_at_construction(self, field, value, error,
+                                                  message):
+        # Messages are matched word for word, since the CLI prints them.
+        # replace() builds a config too, so it checks each field as well.
+        valid = HybridConfig(u=5, s=2, M=3, stream_len=8)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(error, match=exact):
+            HybridConfig(**{"u": 5, "s": 2, "M": 3, field: value})
+        with pytest.raises(error, match=exact):
+            replace(valid, **{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("threshold", math.nan), ("threshold", math.inf),
@@ -71,11 +100,8 @@ class TestHybridConfig:
         # Each of these once gave a silent empty or merged result.
         x = tone_signal([(125.0, 1.0), (165.0, 0.7j), (245.0, -0.8)],
                         1000.0, 1000)
-        cfg = replace(experiment_1_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
-            cfg.validate()
-        with pytest.raises(ValueError, match=field):
-            analyze(x, cfg)
+            analyze(x, replace(experiment_1_config(), **{field: value}))
 
 
 class TestAnalyze:
@@ -481,12 +507,13 @@ class TestStages:
         (dict(u=5, s=2, M=60), 100, IndexBudgetExceeded),
     ])
     def test_plan_rejects_what_analyze_rejects(self, kwargs, length, error):
-        cfg = HybridConfig(**kwargs)
+        # An invalid config raises as it is built; a record too short for
+        # a valid one raises in plan and analyze.
         x = tone_signal([(3.0, 1.0)], float(length), length)
         with pytest.raises(error):
-            pipeline.plan(cfg, length)
+            pipeline.plan(HybridConfig(**kwargs), length)
         with pytest.raises(error):
-            analyze(x, cfg)
+            analyze(x, HybridConfig(**kwargs))
 
     def test_fit_fails_only_the_nan_column(self):
         # 25 Hz and 85 Hz collide in stream bin 5; 40 Hz and 33 Hz land
