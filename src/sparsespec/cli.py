@@ -25,7 +25,7 @@ from .fileio import (
     write_signal_raw64,
     write_spectrum_csv,
 )
-from .pipeline import HybridConfig, analyze, dense_reference
+from .pipeline import RESOLVERS, HybridConfig, analyze, dense_reference
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--s", type=int)
     p_an.add_argument("--M", type=int)
     p_an.add_argument("--threshold", type=float)
-    p_an.add_argument("--resolver", choices=("match", "bezout"))
+    p_an.add_argument("--resolver", choices=RESOLVERS)
     p_an.add_argument("--stream-len", type=int, dest="stream_len")
     p_an.add_argument("--wrap", action="store_true", default=None)
     p_an.add_argument("--shortcut", action="store_true", default=None,

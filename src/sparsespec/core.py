@@ -11,10 +11,12 @@ a test signal from a :class:`SynthSpec` of tones and a noise level.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,7 +212,8 @@ def run_aside(fn, samples: int):
     dropped. Returns None when ``fn`` ran here, else a join that waits for
     the thread and raises what ``fn`` raised, if anything. Callers call the
     join exactly once, in a ``finally`` around their own work, so no thread
-    outlives them.
+    outlives them. The thread runs ``fn`` in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds there too.
     """
     if samples < PARALLEL_MIN_SAMPLES or _usable_cpus() < 2:
         fn()
@@ -223,7 +226,8 @@ def run_aside(fn, samples: int):
         except BaseException as exc:
             failure.append(exc)
 
-    thread = threading.Thread(target=run)
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run,))
     thread.start()
 
     def join():
@@ -304,7 +308,7 @@ def stream_view(a: np.ndarray, spec: StreamSpec,
     it without wrapping). The view points into ``a`` (C-contiguous, 1-d)
     with strides (s, u) samples, or into its periodic extension when a
     wrapping plan spans more than ``a``. It is read-only unless
-    ``writeable``, as a mask of the samples a run reads must be.
+    ``writeable``, as a mask of the samples a plan reads must be.
     """
     n = spec.resolve_length(a.size)
     span = spec.span(n)
@@ -314,6 +318,21 @@ def stream_view(a: np.ndarray, spec: StreamSpec,
                       (spec.s * a.itemsize, spec.u * a.itemsize))
     view.flags.writeable = writeable
     return view
+
+
+@lru_cache(maxsize=128)
+def samples_read(spec: StreamSpec, length: int,
+                 counts: tuple[int, ...]) -> int:
+    """Distinct samples of a ``length``-sample record that the pinned plan
+    ``spec`` reads when stream m reads its first ``counts[m]`` samples. A
+    wrapping plan's periodic extension is folded back onto the record."""
+    read = np.zeros(-(-spec.span(spec.n) // length) * length, bool)
+    marks = stream_view(read, spec, writeable=True)
+    for row, count in zip(marks, counts):
+        row[:count] = True
+    if read.size > length:
+        read = read.reshape(-1, length).any(0)
+    return int(np.count_nonzero(read))
 
 
 def extract_streams(x: ComplexSignal, spec: StreamSpec) -> np.ndarray:
@@ -330,11 +349,11 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> np.ndarray:
 
 
 def spectrum_magnitudes(bins: np.ndarray) -> tuple[np.ndarray, float]:
-    """|X_j| of the DFT values ``bins`` and the largest of them. A NaN or
-    infinite |X_j|, which finite samples reach when the transform
-    overflows, raises NonFiniteSamples."""
+    """|X_j| of the DFT values ``bins`` and the largest of them (0 for
+    none). A NaN or infinite |X_j|, which finite samples reach when the
+    transform overflows, raises NonFiniteSamples."""
     mags = np.abs(bins)
-    top = mags.max()
+    top = mags.max(initial=0.0)
     if not math.isfinite(top):
         raise NonFiniteSamples(
             f"the spectrum overflowed: its largest |X| is {top}")
@@ -349,13 +368,13 @@ def select_peaks(bins: np.ndarray, threshold: float) -> list[int]:
     whatever the threshold: they are that peak's rounding leakage. Ties in
     magnitude are ordered by ascending bin index so the output is
     deterministic. Raises NonFiniteSamples as :func:`spectrum_magnitudes`,
-    then ValueError for a negative or NaN threshold.
+    then ValueError for a threshold that is not finite and nonnegative.
     """
     mags, top = spectrum_magnitudes(bins)
     # After the spectrum: a threshold read off an overflowed spectrum is
     # not finite, and the overflow is the error to report.
-    if not threshold >= 0:
-        raise ValueError("threshold must be >= 0")
+    if not 0 <= threshold < math.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     floor = max(threshold, PEAK_FLOOR_REL * top)
     hits = np.flatnonzero((mags >= floor) & (mags > 0))
     return hits[np.argsort(-mags[hits], kind="stable")].tolist()

@@ -38,7 +38,9 @@ from .core import (
     dft_at,
     extract_streams,  # noqa: F401 -- re-exported; tracers patch it here
     run_aside,
+    samples_read,
     select_peaks,
+    spectrum_magnitudes,
     stream_view,
 )
 from .errors import (
@@ -67,7 +69,7 @@ SHORTCUT_CONDITION_CAP = 1e10
 CANDIDATE_FALSE_ALARM = 0.1
 CONFIRM_FALSE_ALARM = 0.01
 
-# Per-thread work arrays of ``detect``, kept between calls (see there).
+# Per-thread reference stream of ``detect``, kept between calls (see there).
 _work = threading.local()
 
 
@@ -89,7 +91,8 @@ class HybridConfig:
     reference spectrum, in two stages. A reference bin is a candidate when
     its magnitude reaches both ``threshold`` * n and sigma * sqrt(ln 10),
     which noise alone does in ``CANDIDATE_FALSE_ALARM`` = 0.1 of the bins.
-    A candidate is confirmed when the mean of |X_m|^2 over the first
+    The candidates' coefficients must be finite (else NonFiniteSamples),
+    and a candidate is confirmed when the mean of |X_m|^2 over the first
     k = min(M, u) streams reaches sigma^2 times the Gamma(k, 1/k) quantile
     at 1 - ``CONFIRM_FALSE_ALARM`` / n, so noise alone confirms about 0.01
     bins per record. Those k streams read disjoint samples; stream m + u is
@@ -255,16 +258,6 @@ def noise_power_quantile(m: int, p: float) -> float:
     return x / m
 
 
-def _work_array(name: str, size: int, dtype) -> np.ndarray:
-    """This thread's kept work array ``name``, replaced unless it holds
-    ``size`` elements. The contents are whatever the last call left."""
-    a = getattr(_work, name, None)
-    if a is None or a.size != size:
-        a = np.empty(size, dtype)
-        setattr(_work, name, a)
-    return a
-
-
 def plan(cfg: HybridConfig, length: int) -> StreamSpec:
     """The config's stream plan with its per-stream length pinned against
     a record of ``length`` samples; reads no samples. Raises
@@ -274,67 +267,54 @@ def plan(cfg: HybridConfig, length: int) -> StreamSpec:
     return replace(spec, n=spec.resolve_length(length))
 
 
+# Both transforms are checked for overflow (select_peaks and
+# spectrum_magnitudes), so numpy's warnings would only repeat the error.
+@np.errstate(over="ignore", invalid="ignore")
 def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
            ) -> tuple[float, list[int], np.ndarray, int, dict]:
     """Gather the plan's streams and find the confirmed peak bins.
 
     Returns sigma, the bins, their M x K coefficients (column j for bin
-    j), the number of distinct record samples read and the gather's
+    j), the ``samples_read`` count of the plan and the gather's
     diagnostics (``per_stream_samples``, ``peak_candidates``,
-    ``shortcut_conditions``, ``shortcut_fallbacks``).
+    ``shortcut_conditions``, ``shortcut_fallbacks``). Raises
+    NonFiniteSamples when the reference spectrum or a coefficient
+    overflows.
 
-    Each thread keeps its read mask (1 byte per record sample, whole
-    periods of it for a wrapping plan) and its reference stream (16 bytes
-    per stream sample, transformed in place) between calls, reused at the
-    same sizes: allocated afresh, arrays that size fault their pages in
-    again on every call, about 1,500 faults on a 2^20-sample record at
-    u = 16 with glibc. Nothing returned refers to them.
-
-    Without the shortcut, the gather of all M streams (M * n samples)
-    runs on a helper thread from ``run_aside`` while this thread copies
-    stream 0 on its own, transforms it and picks the candidates; the
-    helper is joined before this call goes on or raises. The helper calls
-    nothing a tracer patches. The gathered values are copies either way,
-    so the bits do not depend on which thread made them.
+    Each thread keeps its reference stream's spectrum (16 bytes per stream
+    sample, 1 MiB at 2^20 samples and u = 16) between calls, reused at the
+    same size: allocated afresh, an array that size faults its pages in
+    again on every call. Nothing returned refers to it.
     """
     n, M = spec.n, cfg.M
-    # The read mask covers whole periods of the record, so a wrapping plan
-    # marks its periodic extension, folded back onto the record at the end.
-    read = _work_array("read", -(-spec.span(n) // len(x)) * len(x), bool)
-    read.fill(False)
-    marks = stream_view(read, spec, writeable=True)
     streams = stream_view(x.samples, spec)
 
     # All M streams are gathered in one column-major copy, so that
     # dft_at's blocked products read the shifted streams' columns without
     # another copy. The shortcut reads only stream 0 in full and K samples
     # of each other stream, and gathers them all only when it falls back,
-    # inline. Candidate picking needs the whole reference spectrum, the
-    # shifted streams only the candidates. This thread allocates the copy:
-    # allocated on the helper, glibc serves it from the helper's own arena
-    # and a 2^20-sample run kept up to 16 MB more at its peak.
-    def gather(rows: np.ndarray) -> None:
-        marks[:] = True
-        rows[...] = streams
-
+    # inline. Otherwise a helper from run_aside makes the copy while this
+    # thread transforms stream 0 and picks the candidates, and is joined
+    # before this call goes on or raises; the bits are the same either
+    # way. This thread allocates the copy: allocated on the helper, glibc
+    # serves it from the helper's own arena and a 2^20-sample run kept up
+    # to 16 MB more at its peak.
     rows = join = None
     if not cfg.shortcut_shifted:
         rows = np.empty((M, n), np.complex128, order="F")
-        join = run_aside(partial(gather, rows), M * n)
+        join = run_aside(partial(np.copyto, rows, streams), M * n)
     try:
-        reference = _work_array("reference", n, np.complex128)
-        # Copied from the gathered rows while they are in cache, unless a
-        # helper is still writing them.
-        reference[:] = streams[0] if join or rows is None else rows[0]
-        # An overflow is reported once, by select_peaks, not as warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.fft.fft(reference, out=reference)
+        reference = getattr(_work, "reference", None)
+        if reference is None or reference.size != n:
+            reference = _work.reference = np.empty(n, np.complex128)
+        np.fft.fft(streams[0], out=reference)
         noise = estimate_noise(reference)
         floor = noise * math.sqrt(-math.log(CANDIDATE_FALSE_ALARM))
-        candidates = select_peaks(reference, max(cfg.threshold * n, floor))
+        # Capped at the largest float: a level that overflowed, like its
+        # true value, passes no finite |X|.
+        candidates = select_peaks(reference, min(
+            max(cfg.threshold * n, floor), np.finfo(float).max))
     finally:
-        # The helper writes this thread's read mask: it must be done before
-        # the next call can clear it.
         if join:
             join()
     K = len(candidates)
@@ -350,29 +330,25 @@ def detect(x: ComplexSignal, cfg: HybridConfig, spec: StreamSpec
             # One node matrix serves every shifted stream, so they all
             # fall back together to the full path below.
             gathered["shortcut_fallbacks"] = M - 1
-            rows = np.empty((M, n), np.complex128, order="F")
-            gather(rows)
+            rows = np.array(streams, order="F")
         else:
             gathered["shortcut_conditions"] = [cond] * (M - 1)
             gathered["per_stream_samples"][1:] = [K] * (M - 1)
-            marks[0] = True
-            marks[1:, :K] = True
     if rows is not None:  # every stream read in full
         coeffs[1:] = dft_at(rows[1:], candidates)
+    # A shifted stream can overflow where the reference did not.
+    mags, _ = spectrum_magnitudes(coeffs)
 
     # Confirm on the first k = min(M, u) streams. They read disjoint
     # samples (gcd(u, s) = 1); stream m + u reads stream m's samples shifted
     # by s and would repeat its noise. The rms is compared in amplitude
-    # units, so that sigma is never squared, and a NaN or overflowing bin is
-    # kept to fail on its own.
+    # units, so that sigma is never squared.
     k = min(M, cfg.u)
     level = noise * math.sqrt(noise_power_quantile(
         k, CONFIRM_FALSE_ALARM / n))
-    keep = ~(np.sqrt(np.square(np.abs(coeffs[:k])).sum(0) / k) < level)
+    keep = np.sqrt(np.square(mags[:k]).sum(0) / k) >= level
     bins = [b for b, ok in zip(candidates, keep.tolist()) if ok]
-    if read.size > len(x):
-        read = read.reshape(-1, len(x)).any(0)
-    used = int(np.count_nonzero(read))
+    used = samples_read(spec, len(x), tuple(gathered["per_stream_samples"]))
     return noise, bins, coeffs[:, keep], used, gathered
 
 
@@ -489,8 +465,6 @@ def dense_reference(x: ComplexSignal, threshold: float) -> SparseSpectrum:
     transform whose per-sample amplitude reaches the threshold becomes a
     component. A NaN, infinite or negative threshold raises ValueError.
     """
-    if not 0 <= threshold < math.inf:
-        raise ValueError("threshold must be finite and nonnegative")
     big = len(x)
     bins, bin_hz = dft(x), x.rate_hz / big
     comps = []

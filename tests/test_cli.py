@@ -51,6 +51,17 @@ def write_overflowing_tone(tmp_path):
     return path
 
 
+def write_overflowing_stream(tmp_path):
+    """A unit tone at 0.125 cycles per sample whose samples 17, 67, ...
+    (stream 1 of ``ANALYZE_FLAGS``' plan) are 1.7e308 * exp(2i pi 0.3 k):
+    the reference spectrum is finite, stream 1's coefficients are not."""
+    path = tmp_path / "shifted.csv"
+    samples = np.exp(2j * np.pi * 0.125 * np.arange(1000))
+    samples[17::50] = 1.7e308 * np.exp(2j * np.pi * 0.3 * np.arange(20))
+    write_signal_csv(path, ComplexSignal(samples=samples, rate_hz=1000.0))
+    return path
+
+
 ANALYZE_FLAGS = ["--rate", "1000", "--u", "50", "--s", "17", "--M", "12",
                  "--threshold", "0.2", "--stream-len", "16"]
 
@@ -146,6 +157,23 @@ class TestAnalyze:
                             + ANALYZE_FLAGS)
         assert code == 2
         assert "spectrum overflowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shortcut", [[], ["--shortcut"]],
+                             ids=["full", "shortcut"])
+    def test_overflowing_shifted_stream_exit_two(self, tmp_path, capsys,
+                                                 shortcut):
+        # This once printed two numpy RuntimeWarnings and components=0,
+        # and exited 0.
+        sig = write_overflowing_stream(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["analyze", "--in", str(sig),
+                             "--out", str(tmp_path / "x.csv")]
+                            + ANALYZE_FLAGS + shortcut)
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "spectrum overflowed" in err[0]
 
     def test_two_stream_zero_ratio_exit_zero(self, tmp_path, capsys):
         samples = np.zeros(1000, dtype=np.complex128)

@@ -300,6 +300,53 @@ class TestExtractStreams:
             StreamSpec(u=4, s=2, M=3)
 
 
+def read_reference(spec, length, counts):
+    """Distinct samples over the per-stream index sets, wrapped mod length."""
+    idx = np.concatenate([spec.u * np.arange(c) + m * spec.s
+                          for m, c in enumerate(counts)])
+    return np.unique(idx % length).size
+
+
+class TestSamplesRead:
+    def test_matches_index_set_reference(self):
+        # Zero, partial and full per-stream counts; wrapping plans several
+        # periods round the record; more streams than the stride, so that
+        # stream m + u reads stream m's samples shifted by s.
+        rng = np.random.default_rng(7)
+        laps = overlaps = zeros = partial = 0
+        for _ in range(400):
+            u = int(rng.integers(1, 9))
+            s = int(rng.choice([v for v in range(1, 13)
+                                if math.gcd(u, v) == 1]))
+            M = int(rng.integers(1, 14))
+            length = int(rng.integers(1, 150))
+            wrap = bool(rng.random() < 0.5)
+            n_max = (4 * length // u + 2 if wrap
+                     else max_stream_length(length, u, s, M))
+            if n_max < 1:
+                continue
+            spec = StreamSpec(u=u, s=s, M=M, wrap=wrap,
+                              n=int(rng.integers(1, n_max + 1)))
+            full = rng.random() < 0.3
+            counts = tuple(spec.n if full else int(c)
+                           for c in rng.integers(0, spec.n + 1, size=M))
+            assert core.samples_read(spec, length, counts) \
+                == read_reference(spec, length, counts)
+            laps += spec.span(spec.n) > 3 * length
+            overlaps += M > u and counts[u:].count(0) < M - u
+            zeros += 0 in counts
+            partial += any(0 < c < spec.n for c in counts)
+        assert min(laps, overlaps, zeros, partial) > 20
+
+    def test_repeated_plan_hits_the_cache(self):
+        spec = StreamSpec(u=16, s=5, M=8, n=4096)
+        counts = (4096,) + (3,) * 7
+        want = core.samples_read(spec, 2 ** 16, counts)
+        hits = core.samples_read.cache_info().hits
+        assert core.samples_read(spec, 2 ** 16, counts) == want
+        assert core.samples_read.cache_info().hits == hits + 1
+
+
 class TestSelectPeaks:
     def test_single_peak(self):
         assert select_peaks(dft(make_signal([1, 1, 1, 1])), 1.0) == [0]
@@ -326,6 +373,11 @@ class TestSelectPeaks:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             select_peaks(dft(make_signal([1, 1])), -1.0)
+
+    def test_infinite_threshold_rejected(self):
+        # An infinite threshold once picked no peaks.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            select_peaks(dft(make_signal([1, 1])), math.inf)
 
     def test_nan_threshold_rejected(self):
         # A NaN threshold once passed the sign check and picked no peaks.

@@ -284,21 +284,20 @@ class TestAnalyze:
                 pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
             analyze(x, experiment_1_config())
 
-    def test_overflowing_shifted_stream_fails_per_bin(self):
-        # 1e308 on stream 1 only: the reference spectrum is finite, and the
-        # peak bin's stream-1 coefficient is inf next to finite values (a
-        # matrix LAPACK's SVD can spin on). The bin fails alone and analyze
-        # returns.
+    def test_overflowing_shifted_stream_raises(self):
+        # 1e308 on stream 1 only: the reference spectrum is finite, but the
+        # peak bin's stream-1 coefficient is not, from the peak-bin DFT and
+        # from the shortcut's solve alike. analyze once returned no
+        # components, the bin failing with NoConvergence after numpy's
+        # overflow warnings (errors here, by the pytest settings).
         cfg = experiment_1_config()
         samples = np.ones(1000, dtype=np.complex128)
         samples[cfg.s::cfg.u] = 1e308
         x = ComplexSignal(samples=samples, rate_hz=1000.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = analyze(x, cfg)
-        failures = res.diagnostics["failures"]
-        assert res.components == ()
-        assert res.diagnostics["peak_bins"] == [0]
-        assert [f["error"] for f in failures] == ["NoConvergence"]
+        for shortcut in (False, True):
+            with pytest.raises(NonFiniteSamples,
+                               match="spectrum overflowed"):
+                analyze(x, replace(cfg, shortcut_shifted=shortcut))
 
     @pytest.mark.parametrize("wrap", [False, True])
     @pytest.mark.parametrize("path", ["full", "shortcut", "fallback"])
@@ -914,8 +913,8 @@ def _on_grid_record(length, cfg, bins_amps):
 
 
 class TestWorkArrays:
-    # analyze keeps its read mask and reference stream per thread between
-    # calls, reused at the same size and replaced at another.
+    # analyze keeps its reference stream per thread between calls, reused
+    # at the same size and replaced at another.
     @pytest.mark.parametrize("shortcut", [False, True])
     def test_later_calls_leave_earlier_results_alone(self, shortcut):
         cfg = HybridConfig(u=5, s=3, M=7, threshold=0.2,
@@ -924,18 +923,15 @@ class TestWorkArrays:
         b = _on_grid_record(1000, cfg, [(300, 0.8), (7, 1.0), (950, -1j)])
         c = _on_grid_record(600, cfg, [(40, 1.0)])
 
-        def work():
-            return pipeline._work.read, pipeline._work.reference
-
         def run():
             first = analyze(a, cfg)
             before = _outputs(first)
-            kept = work()
+            kept = pipeline._work.reference
             analyze(b, cfg)
             again = analyze(a, cfg)
-            assert work()[0] is kept[0] and work()[1] is kept[1]
+            assert pipeline._work.reference is kept
             analyze(c, cfg)
-            assert work()[0] is not kept[0] and work()[1] is not kept[1]
+            assert pipeline._work.reference is not kept
             last = analyze(a, cfg)
             assert _outputs(first) == before
             assert _outputs(again) == before and _outputs(last) == before
@@ -943,10 +939,25 @@ class TestWorkArrays:
 
         assert len(_in_new_thread(run).components) == 2
 
+    @pytest.mark.parametrize("shortcut", [False, True])
+    def test_only_the_reference_is_kept(self, shortcut):
+        # samples_used comes from the plan: no read mask outlives the call.
+        cfg = HybridConfig(u=16, s=5, M=8, resolver="bezout",
+                           shortcut_shifted=shortcut)
+        x = _on_grid_record(2 ** 20, cfg, [(9001, 1.0)])
+
+        def run():
+            res = analyze(x, cfg)
+            return res, dict(vars(pipeline._work))
+
+        res, kept = _in_new_thread(run)
+        assert list(kept) == ["reference"]
+        assert kept["reference"].shape == (res.diagnostics["stream_length"],)
+
     def test_threads_match_serial_results(self):
         # Same-size records on the full path and on the shortcut, one
         # thread each, more threads than cores and a short switch interval:
-        # each thread must keep to its own work arrays. The 2^19-sample
+        # each thread must keep to its own reference stream. The 2^19-sample
         # record gathers above PARALLEL_MIN_SAMPLES, on a helper thread of
         # its own.
         full = HybridConfig(u=16, s=5, M=8, resolver="bezout")
@@ -1028,8 +1039,8 @@ def _spans_patches():
 class TestHelperThread:
     # Above PARALLEL_MIN_SAMPLES, detect gathers the streams on a helper
     # thread while the caller transforms stream 0, and dft_at computes half
-    # of its block product on one. Neither may change a bit, outlive the
-    # call or leave its work on the caller's kept arrays.
+    # of its block product on one. Neither may change a bit or outlive the
+    # call.
     FULL = HybridConfig(u=16, s=5, M=8, resolver="bezout")
 
     def _at_both_gates(self, monkeypatch, x, cfg):
@@ -1072,9 +1083,10 @@ class TestHelperThread:
 
     def test_failures_join_the_helper(self, monkeypatch):
         # The helper raising, and the caller raising while a slowed helper
-        # has yet to write the read mask: analyze raises that error, no
-        # thread is left, and the thread's next call, on a record of the
-        # same size and so the same mask, gives the same bits as before.
+        # has yet to copy the streams: analyze raises that error, no thread
+        # is left, and the thread's next call gives the same bits as
+        # before. The helper writes only the rows its call allocated, but
+        # it is joined all the same, so no thread outlives the call.
         x = _on_grid_record(2 ** 19, self.FULL, [(5003, 1.0), (90001, 0.6j)])
         big = ComplexSignal(samples=1.7e308 * np.exp(
             2j * np.pi * 0.3125 * np.arange(2 ** 19)), rate_hz=10000.0)
@@ -1113,6 +1125,19 @@ class TestHelperThread:
             assert threading.active_count() == baseline
 
         _in_new_thread(run)
+
+    def test_overflow_stays_quiet_on_the_helper(self, monkeypatch):
+        # Only stream 5 overflows. numpy keeps its error state in a context
+        # variable, which a new thread does not inherit: dft_at's helper
+        # half once warned "overflow encountered in matmul" (an error under
+        # these tests' warning filter) where the caller's half was quiet.
+        monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        samples = np.exp(2j * np.pi * 0.125 * np.arange(2 ** 13))
+        samples[25::16] = 1.7e308 * np.exp(2j * np.pi * 0.3 * np.arange(511))
+        x = ComplexSignal(samples=samples, rate_hz=10000.0)
+        with pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
+            analyze(x, self.FULL)
 
     @pytest.mark.parametrize("cfg", [
         FULL, replace(FULL, shortcut_shifted=True),
