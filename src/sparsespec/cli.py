@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--threshold", type=float)
     p_an.add_argument("--resolver", choices=RESOLVERS)
     p_an.add_argument("--stream-len", type=int, dest="stream_len")
-    p_an.add_argument("--wrap", action="store_true", default=None)
     p_an.add_argument("--shortcut", action="store_true", default=None,
                       dest="shortcut_shifted")
     p_an.add_argument("--format", choices=("csv", "raw64"), default=None,

@@ -5,9 +5,9 @@ A signal lives on a uniform grid at ``rate_hz``. Decimating by a stride ``u``
 and shifting the start by multiples of ``s`` grid samples produces the short
 sub-streams the rest of the pipeline works on. Stream m, sample l is
 x[u*l + m*s], so :func:`stream_view` reads all M streams as one strided view
-of the record, with no index array; a wrapping plan that runs past the end
-reads the record's periodic extension instead. :func:`synthesize` builds
-a test signal from a :class:`SynthSpec` of tones and a noise level.
+of the record, with no index array; a plan that would run past the end of
+the record is rejected. :func:`synthesize` builds a test signal from a
+:class:`SynthSpec` of tones and a noise level.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from .errors import IndexBudgetExceeded, NonFiniteSamples, NotCoprime
 PEAK_FLOOR_REL = 1e-12
 DFT_BLOCK = 128
 # Work that touches fewer samples runs inline in ``run_aside``: below this
-# the overlap saves less than a thread's start and join cost (both break
-# even near 2^17 samples on a 2-CPU x86 host: detect's gather and dft_at's
-# stacked product).
+# the overlap saves less than a thread's start and join cost (detect's
+# gather breaks even near 2^17 samples on a 2-CPU x86 host).
 PARALLEL_MIN_SAMPLES = 1 << 17
 
 
@@ -100,8 +99,7 @@ class StreamSpec:
     """Decimation plan: stride ``u``, shift ``s``, ``M`` streams of length ``n``.
 
     ``n=None`` means "as long as the source signal allows", resolved when the
-    streams are extracted. ``wrap=True`` indexes the source periodically, which
-    is only meaningful for signals that are genuinely periodic on their grid.
+    streams are extracted. Every stream index must fall inside the source.
     ``HybridConfig`` checks its geometry by building one, with its
     ``stream_len`` as ``n``.
     """
@@ -110,7 +108,6 @@ class StreamSpec:
     s: int
     M: int
     n: int | None = None
-    wrap: bool = False
 
     def __post_init__(self):
         if self.u < 1 or self.s < 1:
@@ -130,13 +127,12 @@ class StreamSpec:
             raise IndexBudgetExceeded(
                 f"no feasible stream length for u={self.u}, s={self.s}, "
                 f"M={self.M} against {source_length} samples")
-        if not self.wrap:
-            last = self.span(n) - 1
-            if last > source_length - 1:
-                raise IndexBudgetExceeded(
-                    f"stream index {last} exceeds last sample "
-                    f"{source_length - 1} (u={self.u}, s={self.s}, "
-                    f"M={self.M}, n={n})")
+        last = self.span(n) - 1
+        if last > source_length - 1:
+            raise IndexBudgetExceeded(
+                f"stream index {last} exceeds last sample "
+                f"{source_length - 1} (u={self.u}, s={self.s}, "
+                f"M={self.M}, n={n})")
         return n
 
     def span(self, n: int) -> int:
@@ -253,12 +249,6 @@ def dft_at(rows: np.ndarray, bins) -> np.ndarray:
     (or a row slice of such) are copied to that layout first, because
     BLAS rounds differently on different layouts; so the bits depend on
     neither. Beyond log2(n) bins one batched FFT is cheaper.
-
-    The stacked product is independent per block: from R * n samples on
-    (see ``run_aside``), a helper thread computes the first half of the
-    blocks while the caller computes the rest, each into its half of one
-    output. Every block's product is the same BLAS call either way, so the
-    bits do not depend on the split.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     r, n = rows.shape
@@ -276,16 +266,7 @@ def dft_at(rows: np.ndarray, bins) -> np.ndarray:
     cols = rows.T
     if cols.strides[1 if r > 1 else 0] != cols.itemsize:
         cols = np.ascontiguousarray(cols)
-    stack = cols[:h * q].reshape(h, q, r)
-    blocks = np.empty((h, k, r), dtype=np.complex128)
-    half = h // 2
-    join = run_aside(
-        lambda: np.matmul(lo, stack[:half], out=blocks[:half]), r * n)
-    try:
-        np.matmul(lo, stack[half:], out=blocks[half:])
-    finally:
-        if join:
-            join()
+    blocks = np.matmul(lo, cols[:h * q].reshape(h, q, r))
     out = np.einsum("hkr,kh->rk", blocks, hi[:, :h])
     if h * q < n:
         out += ((hi[:, h:] * lo[:, :n - h * q]) @ cols[h * q:]).T
@@ -303,17 +284,13 @@ def stream_view(a: np.ndarray, spec: StreamSpec,
                 writeable: bool = False) -> np.ndarray:
     """The plan's M streams as rows of one strided view of ``a``.
 
-    Row m, column l is a[(u*l + m*s) mod len(a)], for the spec's length n
-    resolved against ``a`` (IndexBudgetExceeded when a stream would overrun
-    it without wrapping). The view points into ``a`` (C-contiguous, 1-d)
-    with strides (s, u) samples, or into its periodic extension when a
-    wrapping plan spans more than ``a``. It is read-only unless
-    ``writeable``, as a mask of the samples a plan reads must be.
+    Row m, column l is a[u*l + m*s], for the spec's length n resolved
+    against ``a`` (IndexBudgetExceeded when a stream would overrun it). The
+    view points into ``a`` (C-contiguous, 1-d) with strides (s, u) samples.
+    It is read-only unless ``writeable``, as a mask of the samples a plan
+    reads must be.
     """
     n = spec.resolve_length(a.size)
-    span = spec.span(n)
-    if a.size < span:
-        a = np.resize(a, span)
     view = np.ndarray((spec.M, n), a.dtype, a, 0,
                       (spec.s * a.itemsize, spec.u * a.itemsize))
     view.flags.writeable = writeable
@@ -324,14 +301,12 @@ def stream_view(a: np.ndarray, spec: StreamSpec,
 def samples_read(spec: StreamSpec, length: int,
                  counts: tuple[int, ...]) -> int:
     """Distinct samples of a ``length``-sample record that the pinned plan
-    ``spec`` reads when stream m reads its first ``counts[m]`` samples. A
-    wrapping plan's periodic extension is folded back onto the record."""
-    read = np.zeros(-(-spec.span(spec.n) // length) * length, bool)
+    ``spec`` reads when stream m reads its first ``counts[m]`` samples.
+    Raises IndexBudgetExceeded for a plan that overruns the record."""
+    read = np.zeros(length, bool)
     marks = stream_view(read, spec, writeable=True)
     for row, count in zip(marks, counts):
         row[:count] = True
-    if read.size > length:
-        read = read.reshape(-1, length).any(0)
     return int(np.count_nonzero(read))
 
 
@@ -343,7 +318,7 @@ def extract_streams(x: ComplexSignal, spec: StreamSpec) -> np.ndarray:
 
     Raises:
         IndexBudgetExceeded: a requested sample would fall past the end of
-            ``x`` and wrapping is off.
+            ``x``.
     """
     return np.array(stream_view(x.samples, spec))
 

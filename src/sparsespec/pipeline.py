@@ -111,7 +111,6 @@ class HybridConfig:
     M: int
     threshold: float = 0.1
     resolver: str = "match"
-    wrap: bool = False
     shortcut_shifted: bool = False
     stream_len: int | None = None
 
@@ -262,8 +261,7 @@ def plan(cfg: HybridConfig, length: int) -> StreamSpec:
     """The config's stream plan with its per-stream length pinned against
     a record of ``length`` samples; reads no samples. Raises
     IndexBudgetExceeded for a record ``analyze`` rejects."""
-    spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len,
-                      wrap=cfg.wrap)
+    spec = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M, n=cfg.stream_len)
     return replace(spec, n=spec.resolve_length(length))
 
 

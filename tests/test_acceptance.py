@@ -107,14 +107,15 @@ def test_criterion_2_shift_identity(capsys):
         phase = np.exp(2j * np.pi * s * np.arange(n) / n)
         assert np.linalg.norm(shifted - phase * base) \
             <= 1e-9 * np.linalg.norm(base)
-        # Decimated form on a random fine-grid tone, wrapped streams.
+        # Decimated form on a random fine-grid tone, streams read over its
+        # periodic extension.
         j = int(rng.integers(0, n))
-        tone = ComplexSignal(
-            samples=np.exp(2j * np.pi * j * np.arange(n) / n),
-            rate_hz=float(n))
-        spec = StreamSpec(u=u, s=s, M=3, n=n // u, wrap=True) \
+        samples = np.exp(2j * np.pi * j * np.arange(n) / n)
+        spec = StreamSpec(u=u, s=s, M=3, n=n // u) \
             if math.gcd(u, s) == 1 else None
         if spec is not None:
+            tone = ComplexSignal(samples=np.resize(samples, spec.span(spec.n)),
+                                 rate_hz=float(n))
             rows = extract_streams(tone, spec)
             s0 = np.fft.fft(rows[0])
             for m in (1, 2):
@@ -327,11 +328,16 @@ def test_criterion_8_vandermonde_shortcut(capsys):
     for b, v in zip(bins, vals):
         assert abs(v - direct[b]) <= 1e-8 * scale
 
-    dense_spec = StreamSpec(u=1, s=1, M=2, n=1000, wrap=True)
+    # Two full-length streams of the periodic record, one sample apart: the
+    # second reads one sample of its periodic extension.
+    dense_spec = StreamSpec(u=1, s=1, M=2, n=1000)
+    dense_x = ComplexSignal(
+        samples=np.resize(x.samples, dense_spec.span(1000)), rate_hz=rate)
     dense_bins = [11, 22, 33, 44]
     from sparsespec import IllConditionedVandermonde
     try:
-        _, dense_cond = shifted_coeffs_shortcut(x, dense_bins, dense_spec)
+        _, dense_cond = shifted_coeffs_shortcut(dense_x, dense_bins,
+                                                dense_spec)
     except IllConditionedVandermonde:
         dense_cond = math.inf
     assert dense_cond > 1e4

@@ -216,7 +216,8 @@ class TestAnalyze:
         assert "threshold must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["sigma_rel_tol = 0.05",
-                                      "extra_terms = 0", "max_peaks = 64"])
+                                      "extra_terms = 0", "max_peaks = 64",
+                                      "wrap = false"])
     def test_removed_config_key_exit_two(self, tmp_path, capsys, line):
         sig = write_signal3(tmp_path)
         cfg = tmp_path / "cfg.txt"
@@ -472,11 +473,13 @@ class TestUsageAndSelftest:
 
     @pytest.mark.parametrize("flag", ["--delta", "--merge-tol",
                                       "--match-tol", "--sigma-tol",
-                                      "--extra-terms", "--max-peaks"])
+                                      "--extra-terms", "--max-peaks",
+                                      "--wrap"])
     def test_removed_flag_exit_one(self, flag, capsys):
+        # Given alone: a removed switch took no value.
         assert cli.main(["analyze", "--in", "sig.csv", "--out", "rec.csv",
-                         flag, "0.2"] + ANALYZE_FLAGS) == 1
-        capsys.readouterr()
+                         flag] + ANALYZE_FLAGS) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_no_arguments_exit_one(self, capsys):
         assert cli.main([]) == 1

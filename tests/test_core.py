@@ -1,6 +1,7 @@
 """Signal containers, transforms, stream extraction, peak selection."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,25 +138,6 @@ class TestDftAt:
             assert np.all(np.abs(got - want) <= 8 * self.EPS * norm1)
             assert np.array_equal(dft_at(np.asfortranarray(x), bins), got)
 
-    @pytest.mark.parametrize("n", [200, 65537, 1000003])
-    def test_split_product_is_bit_equal(self, monkeypatch, n):
-        # From PARALLEL_MIN_SAMPLES on, a helper thread computes the first
-        # half of the stacked block product. Every block is the same BLAS
-        # call either way, so split and unsplit give the same bits; at
-        # n = 200 the one block stays on the caller's side of the split.
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        rng = np.random.default_rng(n)
-        for rows in (1, 7):
-            # Column-major rows, as analyze gathers them.
-            x = rng.standard_normal((n, rows, 2)).view(np.complex128)[..., 0].T
-            for k in (1, 4, int(math.log2(n))):
-                bins = rng.choice(n, size=k, replace=False)
-                out = []
-                for gate in (0, math.inf):
-                    monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", gate)
-                    out.append(dft_at(x, bins).tobytes())
-                assert out[0] == out[1]
-
     def test_fft_side_is_the_fft(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
@@ -229,8 +211,11 @@ class TestShiftIdentity:
         # stream 0: ratio exp(2i pi * m*s*j / N) with N the fine length.
         n_fine, u, s, m_streams = 60, 4, 7, 3
         j = 23
-        x = make_signal(np.exp(2j * np.pi * j * np.arange(n_fine) / n_fine))
-        spec = StreamSpec(u=u, s=s, M=m_streams, n=n_fine // u, wrap=True)
+        spec = StreamSpec(u=u, s=s, M=m_streams, n=n_fine // u)
+        # The tone is periodic on the fine grid; its record runs on past one
+        # period for as long as the streams read.
+        l = np.arange(spec.span(spec.n))
+        x = make_signal(np.exp(2j * np.pi * j * l / n_fine))
         rows = extract_streams(x, spec)
         base = np.fft.fft(rows[0])
         for m in range(1, m_streams):
@@ -278,18 +263,21 @@ class TestExtractStreams:
         with pytest.raises(IndexBudgetExceeded):
             extract_streams(x, StreamSpec(u=3, s=2, M=2, n=4))
 
-    def test_wrap_allows_overrun(self):
-        x = make_signal(np.arange(10))
-        got = extract_streams(x, StreamSpec(u=3, s=2, M=2, n=4, wrap=True))
-        assert np.array_equal(got[1], [2, 5, 8, 1])
-        # Non-contiguous samples, and a wrap past twice the record.
+    def test_periodic_extension_allows_overrun(self):
+        # A plan that overruns a periodic record reads the record's
+        # periodic extension, np.resize(x, span), in its place.
+        spec = StreamSpec(u=3, s=2, M=2, n=4)
+        x = make_signal(np.resize(np.arange(10), spec.span(4)))
+        assert np.array_equal(extract_streams(x, spec)[1], [2, 5, 8, 1])
+        # Non-contiguous samples, and extensions past twice the record.
         base = np.arange(40) * (1 - 2j)
         for samples, spec in (
                 (base[::2], StreamSpec(u=3, s=2, M=4)),
-                (base[::2], StreamSpec(u=7, s=3, M=5, n=9, wrap=True)),
-                (base[::-3], StreamSpec(u=2, s=5, M=3, n=20, wrap=True))):
-            got = extract_streams(make_signal(samples), spec)
-            n = spec.resolve_length(samples.size)
+                (base[::2], StreamSpec(u=7, s=3, M=5, n=9)),
+                (base[::-3], StreamSpec(u=2, s=5, M=3, n=20))):
+            n = spec.n or spec.resolve_length(samples.size)
+            extended = np.resize(samples, max(samples.size, spec.span(n)))
+            got = extract_streams(make_signal(extended), spec)
             assert got.shape == (spec.M, n)
             for m, stream in enumerate(got):
                 idx = (spec.u * np.arange(n) + m * spec.s) % samples.size
@@ -300,51 +288,57 @@ class TestExtractStreams:
             StreamSpec(u=4, s=2, M=3)
 
 
-def read_reference(spec, length, counts):
-    """Distinct samples over the per-stream index sets, wrapped mod length."""
+def read_reference(spec, counts):
+    """Distinct samples over the per-stream index sets."""
     idx = np.concatenate([spec.u * np.arange(c) + m * spec.s
                           for m, c in enumerate(counts)])
-    return np.unique(idx % length).size
+    return np.unique(idx).size
 
 
 class TestSamplesRead:
     def test_matches_index_set_reference(self):
-        # Zero, partial and full per-stream counts; wrapping plans several
-        # periods round the record; more streams than the stride, so that
-        # stream m + u reads stream m's samples shifted by s.
+        # Zero, partial and full per-stream counts; long plans against a
+        # record just long enough for them (a periodic record's extension),
+        # so that the last stream ends on its last sample; more streams than
+        # the stride, so that stream m + u reads stream m's samples shifted
+        # by s.
         rng = np.random.default_rng(7)
-        laps = overlaps = zeros = partial = 0
+        overlaps = zeros = partial = 0
         for _ in range(400):
             u = int(rng.integers(1, 9))
             s = int(rng.choice([v for v in range(1, 13)
                                 if math.gcd(u, v) == 1]))
             M = int(rng.integers(1, 14))
             length = int(rng.integers(1, 150))
-            wrap = bool(rng.random() < 0.5)
-            n_max = (4 * length // u + 2 if wrap
+            extend = bool(rng.random() < 0.5)
+            n_max = (4 * length // u + 2 if extend
                      else max_stream_length(length, u, s, M))
             if n_max < 1:
                 continue
-            spec = StreamSpec(u=u, s=s, M=M, wrap=wrap,
+            spec = StreamSpec(u=u, s=s, M=M,
                               n=int(rng.integers(1, n_max + 1)))
+            if extend:
+                length = max(length, spec.span(spec.n))
             full = rng.random() < 0.3
             counts = tuple(spec.n if full else int(c)
                            for c in rng.integers(0, spec.n + 1, size=M))
             assert core.samples_read(spec, length, counts) \
-                == read_reference(spec, length, counts)
-            laps += spec.span(spec.n) > 3 * length
+                == read_reference(spec, counts)
             overlaps += M > u and counts[u:].count(0) < M - u
             zeros += 0 in counts
             partial += any(0 < c < spec.n for c in counts)
-        assert min(laps, overlaps, zeros, partial) > 20
+        assert min(overlaps, zeros, partial) > 20
 
     def test_repeated_plan_hits_the_cache(self):
-        spec = StreamSpec(u=16, s=5, M=8, n=4096)
-        counts = (4096,) + (3,) * 7
+        # 4094 is the longest n that 2^16 samples hold at this geometry.
+        spec = StreamSpec(u=16, s=5, M=8, n=4094)
+        counts = (4094,) + (3,) * 7
         want = core.samples_read(spec, 2 ** 16, counts)
         hits = core.samples_read.cache_info().hits
         assert core.samples_read(spec, 2 ** 16, counts) == want
         assert core.samples_read.cache_info().hits == hits + 1
+        with pytest.raises(IndexBudgetExceeded):
+            core.samples_read(replace(spec, n=4095), 2 ** 16, counts)
 
 
 class TestSelectPeaks:

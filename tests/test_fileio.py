@@ -220,7 +220,7 @@ class TestSpectrumFiles:
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2, resolver="bezout",
-                           wrap=True, shortcut_shifted=True, stream_len=16)
+                           shortcut_shifted=True, stream_len=16)
         path = tmp_path / "cfg.txt"
         write_config(path, cfg)
         back = read_config(path)
@@ -315,12 +315,12 @@ class TestOutputBytes:
     decimal, None as none, booleans as true/false."""
 
     def test_config_text(self, tmp_path):
-        cfg = HybridConfig(u=5, s=3, M=9, threshold=1, wrap=True)
+        cfg = HybridConfig(u=5, s=3, M=9, threshold=1, shortcut_shifted=True)
         path = tmp_path / "cfg.txt"
         write_config(path, cfg)
         assert path.read_text() == (
             "u = 5\ns = 3\nM = 9\nthreshold = 1.0\nresolver = match\n"
-            "wrap = true\nshortcut_shifted = false\nstream_len = none\n")
+            "shortcut_shifted = true\nstream_len = none\n")
 
     def test_synth_spec_text(self, tmp_path):
         spec = SynthSpec(tones=(ToneSpec(mu_hz=12.5,

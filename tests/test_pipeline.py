@@ -50,6 +50,14 @@ def tone_signal(freqs_amps, rate, length):
     return ComplexSignal(samples=vals, rate_hz=rate)
 
 
+def periodic_extension(x, cfg):
+    """The periodic record ``x`` repeated for as long as the pinned plan of
+    ``cfg`` reads: ``np.resize(x, span)``."""
+    span = StreamSpec(u=cfg.u, s=cfg.s, M=cfg.M).span(cfg.stream_len)
+    return ComplexSignal(samples=np.resize(x.samples, max(len(x), span)),
+                         rate_hz=x.rate_hz)
+
+
 class TestHybridConfig:
     def test_non_coprime_rejected(self):
         with pytest.raises(NotCoprime):
@@ -161,14 +169,14 @@ class TestAnalyze:
         assert found[25.0].collision_order == 2
 
     def test_matches_dense_reference_support(self):
-        # Periodic on-grid signal, wrapped extraction: fine grid == full
-        # grid, so hybrid support must equal the dense support exactly.
+        # Periodic on-grid signal read over its periodic extension: fine
+        # grid == full grid, so hybrid support must equal the dense support
+        # exactly.
         rate, length = 240.0, 240
         x = tone_signal([(30.0, 1.2), (75.0, 0.9j), (110.0, -0.7)],
                         rate, length)
-        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25,
-                           stream_len=60, wrap=True)
-        res = analyze(x, cfg)
+        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25, stream_len=60)
+        res = analyze(periodic_extension(x, cfg), cfg)
         dense = dense_reference(x, 0.25)
         got = sorted(c.freq_hz for c in res.components)
         want = sorted(c.freq_hz for c in dense.components)
@@ -299,18 +307,19 @@ class TestAnalyze:
                                match="spectrum overflowed"):
                 analyze(x, replace(cfg, shortcut_shifted=shortcut))
 
-    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("path", ["full", "shortcut", "fallback"])
     def test_sample_budget_poisoned_outside_read_set(self, monkeypatch,
-                                                     path, wrap):
+                                                     path, periodic):
         # Every sample outside the read set the diagnostics claim becomes
-        # NaN: reading any one of them would show in the output. The wrap
-        # plan runs past twice the record, onto samples its first pass
-        # skipped.
+        # NaN: reading any one of them would show in the output. The
+        # periodic case reads the record's extension past twice its period.
         x = tone_signal([(30.0, 1.0), (70.0, 0.5j)], 100.0, 200)
-        cfg = HybridConfig(u=9, s=2, M=3, threshold=0.2, wrap=wrap,
-                           stream_len=50 if wrap else 20,
+        cfg = HybridConfig(u=9, s=2, M=3, threshold=0.2,
+                           stream_len=50 if periodic else 20,
                            shortcut_shifted=path != "full")
+        if periodic:
+            x = periodic_extension(x, cfg)
         if path == "fallback":
             def no_convergence(a):
                 raise NoConvergence("forced")
@@ -322,7 +331,7 @@ class TestAnalyze:
         assert [round(c.freq_hz, 6) for c in clean.components] == [30, 70]
         read = np.concatenate([
             cfg.u * np.arange(c) + m * cfg.s
-            for m, c in enumerate(d["per_stream_samples"])]) % len(x)
+            for m, c in enumerate(d["per_stream_samples"])])
         assert np.unique(read).size == d["samples_used"] < len(x)
         poisoned = np.full(len(x), np.nan, dtype=np.complex128)
         poisoned[read] = x.samples[read]
@@ -334,11 +343,9 @@ class TestAnalyze:
     def test_record_left_untouched(self):
         x = tone_signal([(30.0, 1.0), (70.0, 0.5j)], 100.0, 200)
         before = x.samples.copy()
-        for wrap in (False, True):
-            for shortcut in (False, True):
-                analyze(x, HybridConfig(u=9, s=2, M=3, threshold=0.2,
-                                        wrap=wrap, shortcut_shifted=shortcut,
-                                        stream_len=50 if wrap else 20))
+        for shortcut in (False, True):
+            analyze(x, HybridConfig(u=9, s=2, M=3, threshold=0.2,
+                                    shortcut_shifted=shortcut, stream_len=20))
         assert x.samples.flags.writeable
         assert x.samples.tobytes() == before.tobytes()
 
@@ -376,19 +383,18 @@ class TestAnalyze:
     def test_components_sorted_by_magnitude(self):
         rate = 240.0
         x = tone_signal([(30.0, 0.6), (75.0, 1.4), (110.0, 1.0)], rate, 240)
-        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25,
-                           stream_len=60, wrap=True)
-        res = analyze(x, cfg)
+        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25, stream_len=60)
+        res = analyze(periodic_extension(x, cfg), cfg)
         mags = [abs(c.amplitude) for c in res.components]
         assert mags == sorted(mags, reverse=True)
 
     def test_resolver_bezout_agrees_noise_free(self):
         rate = 240.0
         x = tone_signal([(30.0, 1.2), (110.0, -0.7)], rate, 240)
-        base = dict(u=4, s=3, M=9, threshold=0.25,
-                    stream_len=60, wrap=True)
-        match = analyze(x, HybridConfig(**base))
-        bez = analyze(x, HybridConfig(resolver="bezout", **base))
+        cfg = HybridConfig(u=4, s=3, M=9, threshold=0.25, stream_len=60)
+        x = periodic_extension(x, cfg)
+        match = analyze(x, cfg)
+        bez = analyze(x, replace(cfg, resolver="bezout"))
         for a, b in zip(match.components, bez.components):
             assert a.freq_hz == pytest.approx(b.freq_hz, abs=1e-6)
 
@@ -484,15 +490,15 @@ class TestStages:
     @pytest.mark.parametrize("kwargs, length", [
         (dict(u=5, s=2, M=9), 200),
         (dict(u=5, s=2, M=9, stream_len=20), 200),
-        (dict(u=7, s=3, M=4, stream_len=60, wrap=True), 100),
+        # The last stream ends on the record's last sample.
+        (dict(u=3, s=2, M=4, stream_len=32), 100),
         (dict(u=1, s=1, M=2, threshold=0.0), 3),
     ])
     def test_plan_pins_the_stream_length(self, kwargs, length):
         cfg = HybridConfig(**kwargs)
         x = tone_signal([(3.0, 1.0)], float(length), length)
         spec = pipeline.plan(cfg, length)
-        assert (spec.u, spec.s, spec.M, spec.wrap) \
-            == (cfg.u, cfg.s, cfg.M, cfg.wrap)
+        assert (spec.u, spec.s, spec.M) == (cfg.u, cfg.s, cfg.M)
         assert spec.n == analyze(x, cfg).diagnostics["stream_length"]
 
     @pytest.mark.parametrize("kwargs, length, error", [
@@ -618,8 +624,8 @@ class TestShortcut:
         tones = [(30.0 + k, np.exp(0.7j * k)) for k in range(12)]
         x = tone_signal(tones, rate, 240)
         cfg = HybridConfig(u=2, s=1, M=8, threshold=0.3,
-                           stream_len=120, wrap=True, shortcut_shifted=True)
-        res = analyze(x, cfg)
+                           stream_len=120, shortcut_shifted=True)
+        res = analyze(periodic_extension(x, cfg), cfg)
         freqs = sorted(c.freq_hz for c in res.components)
         assert np.allclose(freqs, [f for f, _ in tones], atol=1e-6)
         assert res.diagnostics["shortcut_fallbacks"] >= 1
@@ -805,8 +811,9 @@ class TestPeakDetection:
 class TestBatchedStreams:
     def test_samples_used_and_spectra_match_per_stream_reference(
             self, monkeypatch):
-        # Random geometries, wrapped ones whose indices collide and forced
-        # shortcut fallbacks included. samples_used must equal the distinct
+        # Random geometries, plans longer than their record read over its
+        # periodic extension, and forced shortcut fallbacks included.
+        # samples_used must equal the distinct
         # count over the per-stream index sets, the reference spectrum must
         # equal the stream-0 DFT bit for bit, and every exact shifted
         # coefficient must be within 8 eps * ||stream||_1 of its DFT bin.
@@ -840,16 +847,16 @@ class TestBatchedStreams:
                                 if math.gcd(u, v) == 1]))
             M = int(rng.integers(2, 9))
             length = int(rng.integers(24, 160))
-            wrap = bool(rng.random() < 0.5)
+            extend = bool(rng.random() < 0.5)
             n_max = max_stream_length(length, u, s, M)
-            if wrap:
+            if extend:
                 stream_len = int(rng.integers(1, 2 * length // u + 2))
             elif n_max < 1:
                 continue
             else:
                 stream_len = (None if rng.random() < 0.5
                               else int(rng.integers(1, n_max + 1)))
-            cfg = HybridConfig(u=u, s=s, M=M, threshold=0.2, wrap=wrap,
+            cfg = HybridConfig(u=u, s=s, M=M, threshold=0.2,
                                stream_len=stream_len,
                                shortcut_shifted=bool(rng.random() < 0.5))
             # The shortcut falls back for all shifted streams or for none;
@@ -862,6 +869,8 @@ class TestBatchedStreams:
             for f in rng.uniform(0.0, length, size=int(rng.integers(1, 4))):
                 vals = vals + np.exp(2j * np.pi * f * l / length)
             x = ComplexSignal(samples=vals, rate_hz=float(length))
+            if extend:
+                x = periodic_extension(x, cfg)
 
             res = analyze(x, cfg)
             d = res.diagnostics
@@ -870,14 +879,11 @@ class TestBatchedStreams:
             assert len(counts) == M and counts[0] == n
             index_sets = [u * np.arange(c) + m * s
                           for m, c in enumerate(counts)]
-            if wrap:
-                index_sets = [idx % length for idx in index_sets]
             want = np.unique(np.concatenate(index_sets)).size
             assert d["samples_used"] == want
             collided += want < sum(counts)
 
-            streams = extract_streams(x, StreamSpec(u=u, s=s, M=M, n=n,
-                                                    wrap=wrap))
+            streams = extract_streams(x, StreamSpec(u=u, s=s, M=M, n=n))
             direct = [np.fft.fft(st) for st in streams]
             assert np.array_equal(seen["ref"], direct[0])
             exact = range(M)
@@ -988,16 +994,17 @@ class TestWorkArrays:
             assert outputs == [_outputs(expected)] * 5
 
     def test_smaller_runs_after_a_long_record(self):
-        # A wrapping plan, whose mask covers three periods of its record, and
-        # a shortcut that falls back because it has more peaks than the
-        # node-matrix cap, after a 2^20-sample record in the same thread.
+        # A plan read over a record's periodic extension, past twice its
+        # period, and a shortcut that falls back because it has more peaks
+        # than the node-matrix cap, after a 2^20-sample record in the same
+        # thread.
         long_cfg = HybridConfig(u=16, s=5, M=8, resolver="bezout",
                                 shortcut_shifted=True)
         long_x = _on_grid_record(2 ** 20, long_cfg, [(9001, 1.0)])
-        wrap_x = tone_signal([(312.5, 1.0), (625.0, 0.8), (101.25, 0.9j)],
-                             1000.0, 1000)
-        wrap_cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2,
-                                stream_len=40, wrap=True)
+        ext_cfg = HybridConfig(u=50, s=17, M=12, threshold=0.2, stream_len=40)
+        ext_x = periodic_extension(
+            tone_signal([(312.5, 1.0), (625.0, 0.8), (101.25, 0.9j)],
+                        1000.0, 1000), ext_cfg)
         rng = np.random.default_rng(3)
         bins = rng.choice(1997, size=600, replace=False)
         cap_x = ComplexSignal(
@@ -1009,7 +1016,7 @@ class TestWorkArrays:
                                shortcut_shifted=True)
 
         def smaller():
-            return [analyze(wrap_x, wrap_cfg), analyze(cap_x, cap_cfg)]
+            return [analyze(ext_x, ext_cfg), analyze(cap_x, cap_cfg)]
 
         def after_long():
             assert len(analyze(long_x, long_cfg).components) == 1
@@ -1019,9 +1026,10 @@ class TestWorkArrays:
         results = _in_new_thread(after_long)
         assert [_outputs(r) for r in results] == [_outputs(r)
                                                   for r in expected]
-        wrapped, capped = results
-        assert wrapped.diagnostics["samples_used"] == 240
-        assert len(wrapped.components) == 6
+        extended, capped = results
+        # 12 x 40 distinct positions of the extension, 240 of the record.
+        assert extended.diagnostics["samples_used"] == 480
+        assert len(extended.components) == 6
         assert capped.diagnostics["shortcut_fallbacks"] == 3
         assert len(capped.components) == 600
 
@@ -1038,9 +1046,8 @@ def _spans_patches():
 
 class TestHelperThread:
     # Above PARALLEL_MIN_SAMPLES, detect gathers the streams on a helper
-    # thread while the caller transforms stream 0, and dft_at computes half
-    # of its block product on one. Neither may change a bit or outlive the
-    # call.
+    # thread while the caller transforms stream 0. The helper may not
+    # change a bit or outlive the call.
     FULL = HybridConfig(u=16, s=5, M=8, resolver="bezout")
 
     def _at_both_gates(self, monkeypatch, x, cfg):
@@ -1058,18 +1065,8 @@ class TestHelperThread:
         assert split == inline
         assert "source_bin=4099" in split
 
-    def test_wrap_plan_identical_split_and_inline(self, monkeypatch):
-        # 8 streams of 2^15 samples run four times round a 2^17 record,
-        # each over the same 2^13 samples.
-        cfg = replace(self.FULL, stream_len=2 ** 15, wrap=True)
-        assert cfg.M * cfg.stream_len >= core.PARALLEL_MIN_SAMPLES
-        x = tone_signal([(1250.0, 1.0), (3906.25, 0.5j)], 10000.0, 2 ** 17)
-        split, inline = self._at_both_gates(monkeypatch, x, cfg)
-        assert split == inline
-        assert "'samples_used': 65536" in split
-
     def test_shortcut_fallback_identical_split_and_inline(self, monkeypatch):
-        # The fallback gathers inline after the FFT; dft_at still splits.
+        # The fallback gathers inline, after the FFT, whatever the gate.
         def no_convergence(a):
             raise NoConvergence("forced")
 
@@ -1127,22 +1124,28 @@ class TestHelperThread:
         _in_new_thread(run)
 
     def test_overflow_stays_quiet_on_the_helper(self, monkeypatch):
-        # Only stream 5 overflows. numpy keeps its error state in a context
-        # variable, which a new thread does not inherit: dft_at's helper
-        # half once warned "overflow encountered in matmul" (an error under
-        # these tests' warning filter) where the caller's half was quiet.
+        # numpy keeps its error state in a context variable, which a new
+        # thread does not inherit: run_aside runs its helper in a copy of
+        # the caller's context, so an overflow there warns no more than it
+        # would here (a warning is an error under these tests' filter, and
+        # join raises what the helper raised).
         monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", 0)
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        samples = np.exp(2j * np.pi * 0.125 * np.arange(2 ** 13))
-        samples[25::16] = 1.7e308 * np.exp(2j * np.pi * 0.3 * np.arange(511))
-        x = ComplexSignal(samples=samples, rate_hz=10000.0)
-        with pytest.raises(NonFiniteSamples, match="spectrum overflowed"):
-            analyze(x, self.FULL)
+        big, out, ran_on = np.full(4, 1.7e308), np.empty(4), []
+
+        def overflow():
+            ran_on.append(threading.get_ident())
+            np.multiply(big, 10.0, out=out)
+
+        with np.errstate(over="ignore"):
+            join = core.run_aside(overflow, 4)
+            join()
+        assert ran_on != [threading.get_ident()]
+        assert np.isinf(out).all()
 
     @pytest.mark.parametrize("cfg", [
-        FULL, replace(FULL, shortcut_shifted=True),
-        replace(FULL, stream_len=300, wrap=True)],
-        ids=["full", "fallback", "wrap"])
+        FULL, replace(FULL, shortcut_shifted=True)],
+        ids=["full", "fallback"])
     def test_traced_attributes_run_on_the_calling_thread(self, monkeypatch,
                                                          cfg):
         # perfbench's tracer keeps one span stack for the process: every
@@ -1190,8 +1193,10 @@ class TestRobustness:
                                 if math.gcd(u, v) == 1]))
             M = int(rng.integers(2, 13))
             length = int(rng.integers(32, 600))
-            wrap = bool(rng.random() < 0.5)
-            if not wrap and max_stream_length(length, u, s, M) < 1:
+            # Half the geometries that fit no stream are run too: analyze
+            # rejects them with IndexBudgetExceeded.
+            run_unfit = bool(rng.random() < 0.5)
+            if not run_unfit and max_stream_length(length, u, s, M) < 1:
                 continue
             trials += 1
             rate = float(length)
@@ -1202,7 +1207,7 @@ class TestRobustness:
                 for _ in range(int(rng.integers(1, 5))))
             snr = (None, 20.0, 0.0, -10.0)[int(rng.integers(4))]
             scale = (1.0, 1e-300, 1e300, 1e307)[int(rng.integers(4))]
-            cfg = HybridConfig(u=u, s=s, M=M, wrap=wrap,
+            cfg = HybridConfig(u=u, s=s, M=M,
                                resolver=str(rng.choice(["match", "bezout"])),
                                shortcut_shifted=bool(rng.random() < 0.5))
             x = synthesize(SynthSpec(tones=tones, rate_hz=rate, length=length,
@@ -1344,7 +1349,7 @@ class TestThreadIndependence:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="needs os.sched_setaffinity")
     def test_long_full_identical_on_one_cpu(self):
-        # On one CPU analyze runs inline, or with its helper threads taking
+        # On one CPU analyze runs inline, or with its helper thread taking
         # turns with the caller when made to split; on all of them, split.
         # The bits must not depend on which, nor on how threads interleave.
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
