@@ -106,10 +106,13 @@ def _signal_format(path: str, fmt: str | None) -> str:
     return fmt or ("raw64" if raw else "csv")
 
 
-def _read_signal(path: str, rate: float, fmt: str | None):
+def _read_signal(path: str, rate: float, fmt: str | None,
+                 cfg: HybridConfig | None = None):
+    """The signal at ``path``; a CSV read for ``cfg`` parses only the rows
+    its plan reads (see ``read_signal_csv``)."""
     if _signal_format(path, fmt) == "raw64":
         return read_signal_raw64(path, rate)
-    return read_signal_csv(path, rate)
+    return read_signal_csv(path, rate, cfg)
 
 
 def _analyze_config(args) -> HybridConfig:
@@ -140,7 +143,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = _analyze_config(args)
-    x = _read_signal(args.infile, args.rate, args.format)
+    x = _read_signal(args.infile, args.rate, args.format, cfg)
     result = analyze(x, cfg)
     write_components_csv(args.out, result)
     used = result.diagnostics["samples_used"]

@@ -9,10 +9,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sparsespec import cli
+from sparsespec import cli, fileio, pipeline
+from sparsespec.core import read_mask
+from sparsespec.errors import NoConvergence, NonFiniteSamples
 from sparsespec.fileio import (
     read_components_csv,
     read_config,
+    read_signal_csv,
     read_signal_raw64,
     write_config,
     write_signal_csv,
@@ -24,8 +27,10 @@ from sparsespec import (
     HybridConfig,
     SynthSpec,
     ToneSpec,
+    analyze,
     synthesize,
 )
+from sparsespec.lab import experiment_2_config, experiment_2_spec
 
 
 SIGNAL3 = SynthSpec(
@@ -273,6 +278,136 @@ class TestAnalyze:
                          str(tmp_path / "x.csv")] + ANALYZE_FLAGS)
         assert code == 2
         assert "NaN or infinite" in capsys.readouterr().err
+
+
+ANALYZE_CONFIG = HybridConfig(u=50, s=17, M=12, threshold=0.2, stream_len=16)
+
+
+def planned_samples(cfg, length):
+    """The samples ``cfg``'s plan reads, every stream in full."""
+    spec = pipeline.plan(cfg, length)
+    return read_mask(spec, length, (spec.n,) * spec.M)
+
+
+def unplanned_line(length=1000, cfg=ANALYZE_CONFIG):
+    """The file line of the first sample the plan of ``cfg`` does not read
+    (the header is line 1)."""
+    return int(np.argmin(planned_samples(cfg, length))) + 2
+
+
+def replace_line(path, line, text: bytes):
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = text
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestPlannedRows:
+    # analyze parses only the rows its plan reads, once every row has been
+    # proven well formed; anything unproven is read in full as before.
+    def run(self, sig, out, extra=()):
+        return cli.main(["analyze", "--in", str(sig), "--out", str(out)]
+                        + ANALYZE_FLAGS + list(extra))
+
+    def test_parses_only_planned_rows(self, tmp_path, monkeypatch, capsys):
+        sig = write_signal3(tmp_path)
+        parsed = []
+        parse = fileio._parse_rows
+
+        def counted(rows):
+            cells = parse(rows)
+            parsed.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(fileio, "_parse_rows", counted)
+        assert self.run(sig, tmp_path / "rec.csv") == 0
+        assert sum(parsed) == 192
+        assert "samples_used=192" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row,names", [
+        (b"1-2,0", "sig.csv: line {line}: "),
+        (b"1..2,0", "sig.csv: line {line}: "),
+        (b"nan,0", "sample {sample} is NaN or infinite"),
+        (b"inf,0", "sample {sample} is NaN or infinite"),
+        (b"1e999,0", "sample {sample} is NaN or infinite"),
+        (b"1,2,3", "sig.csv: line {line}: "),
+        (b"\xff,0", "sig.csv: not UTF-8 text")],
+        ids=["minus_inside", "two_points", "nan", "inf", "overflow",
+             "three_cells", "non_utf8"])
+    def test_bad_unplanned_row_exit_two(self, tmp_path, capsys, row, names):
+        # The same exit code and stderr as a read of every row.
+        sig = write_signal3(tmp_path)
+        line = unplanned_line()
+        replace_line(sig, line, row)
+        with pytest.raises((ValueError, NonFiniteSamples)) as full:
+            read_signal_csv(sig, 1000.0)
+        assert self.run(sig, tmp_path / "rec.csv") == 2
+        err = capsys.readouterr().err
+        assert err == f"sparsespec: error: {full.value}\n"
+        assert names.format(line=line, sample=line - 2) in err
+
+    @pytest.mark.parametrize("line,text", [
+        (None, b""), (None, b" 0.5 , -0.25 "), (None, b"0.5,-0.25\r"),
+        (None, b"1E5,0"), (None, b"1e-400,0"), (1, b" re , im ")],
+        ids=["blank_line", "spaces", "crlf", "capital_e", "underflow",
+             "spaced_header"])
+    def test_unproven_rows_read_in_full(self, tmp_path, capsys, line,
+                                        text):
+        sig = write_signal3(tmp_path)
+        assert self.run(sig, tmp_path / "want.csv") == 0
+        want = capsys.readouterr().out
+        line = line or unplanned_line()
+        if text:
+            replace_line(sig, line, text)
+        else:  # a blank line after the unplanned row
+            replace_line(sig, line, sig.read_bytes().split(b"\n")[line - 1]
+                         + b"\n")
+        assert self.run(sig, tmp_path / "rec.csv") == 0
+        assert capsys.readouterr().out == want
+        got = (tmp_path / "rec.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        fileio.write_components_csv(tmp_path / "full.csv", analyze(
+            read_signal_csv(sig, 1000.0), ANALYZE_CONFIG))
+        assert got == (tmp_path / "full.csv").read_bytes()
+
+    @pytest.mark.parametrize("extra,fallback", [
+        ([], False), (["--shortcut"], False), (["--shortcut"], True)],
+        ids=["full", "shortcut", "shortcut_fallback"])
+    def test_unplanned_rows_never_change_the_output(self, tmp_path, capsys,
+                                                    monkeypatch, extra,
+                                                    fallback):
+        # An experiment-2 record at 10 dB with every row its plan does not
+        # read set to 1e300,-1e300: the same components and summary.
+        cfg = experiment_2_config(M=28, snr_db=10.0)
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, synthesize(experiment_2_spec(1, 10.0)))
+        lines = sig.read_bytes().split(b"\n")
+        planned = planned_samples(cfg, 2 ** 16)
+        for i in np.flatnonzero(~planned).tolist():
+            lines[i + 1] = b"1e300,-1e300"
+        big = tmp_path / "big.csv"
+        big.write_bytes(b"\n".join(lines))
+        fits = []
+
+        def no_convergence(a):
+            fits.append(a.shape)
+            raise NoConvergence("forced")
+
+        if fallback:
+            monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        write_config(tmp_path / "cfg.txt", cfg)
+        outs = []
+        for path in (sig, big):
+            outs.append(tmp_path / f"{path.stem}_components.csv")
+            assert cli.main(["analyze", "--in", str(path), "--out",
+                             str(outs[-1]), "--rate", "10000", "--config",
+                             str(tmp_path / "cfg.txt")] + extra) == 0
+        summaries = capsys.readouterr().out.splitlines()
+        assert summaries[0] == summaries[1]
+        if not extra:
+            assert "samples_used=12908" in summaries[0]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(read_components_csv(outs[0])) > 0
+        assert bool(fits) == fallback
 
 
 class TestConfigSchema:

@@ -1,4 +1,5 @@
 """CSV and raw binary signal formats, config and spec files."""
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,9 @@ import pytest
 
 from sparsespec import ComplexSignal, HybridConfig, NonFiniteSamples, \
     NotCoprime, RecoveredComponent, SparseSpectrum, SynthSpec, ToneSpec
+from sparsespec import fileio
+from sparsespec.core import read_mask
+from sparsespec.pipeline import plan
 from sparsespec.fileio import (
     FileFormatError,
     read_components_csv,
@@ -176,6 +180,132 @@ class TestBoundedPass:
         path.write_bytes(b"\n".join([b"re,im", *rows]) + b"\n")
         with pytest.raises(error, match=match):
             read_signal_csv(path, rate_hz=10.0)
+
+
+class TestPlannedRows:
+    """With a config, only the rows its plan reads are parsed, once every
+    row is proven a ``cell,cell`` row; anything else is read in full."""
+
+    CFG = HybridConfig(u=5, s=3, M=4, stream_len=6)  # reads 24 of 40
+
+    def write(self, tmp_path, rows=None):
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, random_signal(40, seed=4))
+        if rows:
+            lines = path.read_bytes().split(b"\n")
+            for line, text in rows.items():
+                lines[line - 1] = text
+            path.write_bytes(b"\n".join(lines))
+        return path
+
+    @staticmethod
+    def planned(cfg, length):
+        spec = plan(cfg, length)
+        return read_mask(spec, length, (spec.n,) * spec.M)
+
+    def unplanned_lines(self):
+        return np.flatnonzero(~self.planned(self.CFG, 40)) + 2
+
+    def test_unplanned_rows_left_at_zero(self, tmp_path):
+        path = self.write(tmp_path)
+        full = read_signal_csv(path, rate_hz=64.0).samples
+        got = read_signal_csv(path, rate_hz=64.0, cfg=self.CFG).samples
+        planned = self.planned(self.CFG, 40)
+        assert planned.sum() == 24
+        assert got[planned].tobytes() == full[planned].tobytes()
+        assert not got[~planned].any()
+
+    @pytest.mark.parametrize("row,error", [
+        (b"1-2,0", FileFormatError), (b"1..2,0", FileFormatError),
+        (b"nan,0", NonFiniteSamples), (b"inf,0", NonFiniteSamples),
+        (b"1e999,0", NonFiniteSamples), (b"1,2,3", FileFormatError),
+        (b"\xff,0", FileFormatError)],
+        ids=["minus_inside", "two_points", "nan", "inf", "overflow",
+             "three_cells", "non_utf8"])
+    def test_bad_unplanned_row_raises_as_full_read(self, tmp_path, row,
+                                                   error):
+        line = int(self.unplanned_lines()[-1])
+        path = self.write(tmp_path, {line: row})
+        with pytest.raises(error) as full:
+            read_signal_csv(path, rate_hz=64.0)
+        with pytest.raises(error) as planned:
+            read_signal_csv(path, rate_hz=64.0, cfg=self.CFG)
+        assert str(planned.value) == str(full.value)
+        if error is FileFormatError and row != b"\xff,0":
+            assert f"sig.csv: line {line}: " in str(full.value)
+
+    @pytest.mark.parametrize("rows", [
+        {3: b"1.5,2.5\n"}, {3: b" 1.5 , 2.5 "}, {3: b"1.5,2.5\r"},
+        {3: b"1E5,0"}, {3: b"1e-400,0"}, {1: b" re , im "},
+        {3: b"1" * 63 + b",2"}, {42: b"1.5,2.5"}],
+        ids=["blank_line", "spaces", "crlf", "capital_e", "underflow",
+             "spaced_header", "long_line", "no_final_newline"])
+    def test_unproven_file_read_in_full(self, tmp_path, rows):
+        path = self.write(tmp_path, rows)
+        full = read_signal_csv(path, rate_hz=64.0).samples
+        got = read_signal_csv(path, rate_hz=64.0, cfg=self.CFG).samples
+        assert got.tobytes() == full.tobytes()
+
+    def test_plan_overrun_read_in_full(self, tmp_path):
+        path = self.write(tmp_path)
+        cfg = HybridConfig(u=5, s=3, M=4, stream_len=9)  # needs 50 samples
+        full = read_signal_csv(path, rate_hz=64.0).samples
+        got = read_signal_csv(path, rate_hz=64.0, cfg=cfg).samples
+        assert got.tobytes() == full.tobytes()
+
+    def test_memory_bounded_by_sample_bytes(self, tmp_path):
+        x = random_signal(2 ** 18 + 5, seed=3)
+        path = tmp_path / "sig.csv"
+        write_signal_csv(path, x)
+        cfg = HybridConfig(u=16, s=5, M=8)
+        back, peak = traced_peak(read_signal_csv, path, 64.0, cfg)
+        assert peak <= 1.2 * x.samples.nbytes
+        planned = self.planned(cfg, len(x))
+        assert back.samples[planned].tobytes() \
+            == x.samples[planned].tobytes()
+
+    def test_row_check_matches_the_grammar(self):
+        # Random near-rows, some with one byte changed, against the regular
+        # expression the check implements.
+        cell = rb"[+-]?[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]{1,2})?"
+        grammar = re.compile(rb"(?:" + cell + b"," + cell + rb"\n)+")
+        rng = np.random.default_rng(7)
+
+        def pick(*options):
+            return options[rng.integers(len(options))]
+
+        def digits(most):
+            count = rng.integers(rng.random() > 0.1, most + 1)
+            return bytes(rng.integers(48, 58, count).tolist())
+
+        def near_cell():
+            text = pick(b"", b"", b"+", b"-") + digits(3)
+            if rng.random() < 0.4:
+                text += b"." + digits(2)
+            if rng.random() < 0.4:
+                text += b"e" + pick(b"", b"+", b"-") + digits(3)
+            return text
+
+        accepted = 0
+        for _ in range(5000):
+            text = b"".join(b",".join(near_cell() for _ in range(pick(
+                1, 2, 2, 2, 3))) + pick(b"\n", b"\n", b"\n", b"")
+                for _ in range(rng.integers(1, 4)))
+            if text and rng.random() < 0.3:
+                at = rng.integers(len(text))
+                text = text[:at] + bytes([pick(*b"0+-.e,\n E\r\xff")]) \
+                    + text[at + 1:]
+            want = grammar.fullmatch(text) is not None and max(
+                map(len, text.split(b"\n"))) <= fileio.ROW_BYTES_MAX
+            got = fileio._row_starts(text)
+            assert (got is not None) == want, text
+            accepted += want
+        assert 500 < accepted < 4500
+        for text in (b"-1.5e-05,+2e99\n", b"0,0\n1,1\n", b"7" * 62 + b",1\n",
+                     b"1e9,1\n" + b"2,2\n" * 20000):
+            got = fileio._row_starts(text)
+            assert got.tolist() == [0] + [
+                i + 1 for i, b in enumerate(text) if b == 10]
 
 
 @pytest.mark.parametrize("reader", [

@@ -1065,18 +1065,35 @@ class TestHelperThread:
         assert split == inline
         assert "source_bin=4099" in split
 
-    def test_shortcut_fallback_identical_split_and_inline(self, monkeypatch):
-        # The fallback gathers inline, after the FFT, whatever the gate.
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["shortcut", "fallback"])
+    def test_shortcut_starts_no_thread(self, monkeypatch, fallback):
+        # The shortcut gathers nothing up front, and its fallback gathers
+        # inline after the FFT: no helper, whatever the gate. The full path
+        # on the same record, with the same gate, starts one.
         def no_convergence(a):
             raise NoConvergence("forced")
 
-        monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        if fallback:
+            monkeypatch.setattr(pipeline, "svd_small", no_convergence)
+        monkeypatch.setattr(core, "PARALLEL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        started = []
+        start = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
         cfg = replace(self.FULL, shortcut_shifted=True)
-        x = _on_grid_record(2 ** 19, cfg, [(2003, 1.0), (70001, 0.6j)])
-        assert (cfg.M - 1) * plan(cfg, len(x)).n >= core.PARALLEL_MIN_SAMPLES
-        split, inline = self._at_both_gates(monkeypatch, x, cfg)
-        assert split == inline
-        assert "'shortcut_fallbacks': 7" in split
+        x = _on_grid_record(2 ** 12, cfg, [(13, 1.0), (101, 0.6j)])
+        res = analyze(x, cfg)
+        assert started == []
+        assert res.diagnostics["shortcut_fallbacks"] == 7 * fallback
+        assert {c.source_bin for c in res.components} == {13, 101}
+        analyze(x, self.FULL)
+        assert len(started) == 1
 
     def test_failures_join_the_helper(self, monkeypatch):
         # The helper raising, and the caller raising while a slowed helper
